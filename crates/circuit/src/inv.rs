@@ -35,18 +35,99 @@ pub struct InvSolution {
     pub volts: Vec<f64>,
 }
 
+/// The INV circuit's feedback system `Ĝ + D̂/a₀`, factorized — the part
+/// of an INV that depends on the array alone, so repeated solves on one
+/// array pay only the triangular solves.
+#[derive(Debug, Clone)]
+pub struct InvCircuit {
+    lu: LuFactor,
+}
+
+impl InvCircuit {
+    /// Builds and factorizes the feedback system from the *effective*
+    /// conductance matrices of the two arrays (after any interconnect
+    /// transformation), the unit conductance `g0`, and the op-amp gain
+    /// model.
+    ///
+    /// # Errors
+    ///
+    /// * [`CircuitError::InvalidConfig`] if `g0` is not positive or the
+    ///   gain model is invalid.
+    /// * [`CircuitError::ShapeMismatch`] if the arrays are not square or
+    ///   shapes disagree.
+    /// * [`CircuitError::NoOperatingPoint`] if the feedback system is
+    ///   singular (the circuit has no stable equilibrium).
+    pub fn new(g_pos: &Matrix, g_neg: &Matrix, g0: f64, gain: GainModel) -> Result<Self> {
+        gain.validate()?;
+        if !(g0 > 0.0 && g0.is_finite()) {
+            return Err(CircuitError::config("g0 must be positive and finite"));
+        }
+        if g_pos.shape() != g_neg.shape() {
+            return Err(CircuitError::ShapeMismatch {
+                op: "inv arrays",
+                expected: g_pos.cols(),
+                got: g_neg.cols(),
+            });
+        }
+        if !g_pos.is_square() {
+            return Err(CircuitError::ShapeMismatch {
+                op: "inv (square array required)",
+                expected: g_pos.rows(),
+                got: g_pos.cols(),
+            });
+        }
+        let n = g_pos.rows();
+        let inv_a0 = gain.inverse_gain();
+        // System matrix Ĝ + D̂/a₀.
+        let mut sys = Matrix::zeros(n, n);
+        for i in 0..n {
+            let rp = g_pos.row(i);
+            let rn = g_neg.row(i);
+            let mut row_sum = 0.0;
+            for j in 0..n {
+                let signed = (rp[j] - rn[j]) / g0;
+                sys[(i, j)] = signed;
+                row_sum += (rp[j] + rn[j]) / g0;
+            }
+            if inv_a0 > 0.0 {
+                sys[(i, i)] += (1.0 + row_sum) * inv_a0;
+            }
+        }
+        let lu = LuFactor::new(&sys).map_err(|e| {
+            CircuitError::no_op_point(format!("INV feedback system is singular: {e}"))
+        })?;
+        Ok(InvCircuit { lu })
+    }
+
+    /// Solves the circuit for the input voltages `v_in`.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::ShapeMismatch`] if `v_in` does not have one entry
+    /// per row.
+    pub fn solve(&self, v_in: &[f64]) -> Result<InvSolution> {
+        let n = self.lu.dim();
+        if v_in.len() != n {
+            return Err(CircuitError::ShapeMismatch {
+                op: "inv input",
+                expected: n,
+                got: v_in.len(),
+            });
+        }
+        let rhs: Vec<f64> = v_in.iter().map(|&v| -v).collect();
+        let volts = self.lu.solve(&rhs)?;
+        Ok(InvSolution { volts })
+    }
+}
+
 /// Solves the INV circuit given the *effective* conductance matrices of
 /// the two arrays (after any interconnect transformation), the unit
-/// conductance `g0`, the input voltages, and the op-amp gain model.
+/// conductance `g0`, the input voltages, and the op-amp gain model — a
+/// one-shot [`InvCircuit`].
 ///
 /// # Errors
 ///
-/// * [`CircuitError::InvalidConfig`] if `g0` is not positive or the gain
-///   model is invalid.
-/// * [`CircuitError::ShapeMismatch`] if the arrays are not square or
-///   shapes disagree.
-/// * [`CircuitError::NoOperatingPoint`] if the feedback system is
-///   singular (the circuit has no stable equilibrium).
+/// The errors of [`InvCircuit::new`] and [`InvCircuit::solve`].
 pub fn solve_inv(
     g_pos: &Matrix,
     g_neg: &Matrix,
@@ -54,53 +135,7 @@ pub fn solve_inv(
     v_in: &[f64],
     gain: GainModel,
 ) -> Result<InvSolution> {
-    gain.validate()?;
-    if !(g0 > 0.0 && g0.is_finite()) {
-        return Err(CircuitError::config("g0 must be positive and finite"));
-    }
-    if g_pos.shape() != g_neg.shape() {
-        return Err(CircuitError::ShapeMismatch {
-            op: "inv arrays",
-            expected: g_pos.cols(),
-            got: g_neg.cols(),
-        });
-    }
-    if !g_pos.is_square() {
-        return Err(CircuitError::ShapeMismatch {
-            op: "inv (square array required)",
-            expected: g_pos.rows(),
-            got: g_pos.cols(),
-        });
-    }
-    let n = g_pos.rows();
-    if v_in.len() != n {
-        return Err(CircuitError::ShapeMismatch {
-            op: "inv input",
-            expected: n,
-            got: v_in.len(),
-        });
-    }
-    let inv_a0 = gain.inverse_gain();
-    // System matrix Ĝ + D̂/a₀.
-    let mut sys = Matrix::zeros(n, n);
-    for i in 0..n {
-        let rp = g_pos.row(i);
-        let rn = g_neg.row(i);
-        let mut row_sum = 0.0;
-        for j in 0..n {
-            let signed = (rp[j] - rn[j]) / g0;
-            sys[(i, j)] = signed;
-            row_sum += (rp[j] + rn[j]) / g0;
-        }
-        if inv_a0 > 0.0 {
-            sys[(i, i)] += (1.0 + row_sum) * inv_a0;
-        }
-    }
-    let rhs: Vec<f64> = v_in.iter().map(|&v| -v).collect();
-    let lu = LuFactor::new(&sys)
-        .map_err(|e| CircuitError::no_op_point(format!("INV feedback system is singular: {e}")))?;
-    let volts = lu.solve(&rhs)?;
-    Ok(InvSolution { volts })
+    InvCircuit::new(g_pos, g_neg, g0, gain)?.solve(v_in)
 }
 
 #[cfg(test)]

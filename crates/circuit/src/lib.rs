@@ -29,7 +29,9 @@
 //!   netlists, and power-delivery-network grids exported as SPD
 //!   linear-system workloads for the scenario registry.
 //! * [`sim`] — the [`sim::AnalogSimulator`] facade combining all of the
-//!   above; this is what the BlockAMC engine drives.
+//!   above; this is what the BlockAMC engine drives, through one
+//!   [`sim::DerivedArray`] per programmed array so that per-array work
+//!   (feedback factorization, settle-time estimates) runs once.
 //!
 //! # Example
 //!

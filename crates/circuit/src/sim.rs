@@ -16,6 +16,8 @@
 //! [`CircuitOutput`] carries both; the AMC minus sign is preserved in each
 //! (the BlockAMC algorithm exploits those signs, see the paper's Fig. 2).
 
+use std::sync::OnceLock;
+
 use amc_device::array::ProgrammedMatrix;
 use amc_linalg::Matrix;
 
@@ -119,6 +121,12 @@ pub struct CircuitOutput {
 }
 
 /// End-to-end simulator of AMC operations on programmed arrays.
+///
+/// Every operation is a [`DerivedArray`] applied to an input:
+/// [`AnalogSimulator::mvm`] / [`AnalogSimulator::inv`] derive it afresh
+/// per call, while a caller that operates on one array many times keeps
+/// the result of [`AnalogSimulator::derive`] and pays the per-array work
+/// (feedback factorization, settle-time estimates) once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalogSimulator {
     config: SimConfig,
@@ -129,9 +137,8 @@ impl AnalogSimulator {
     ///
     /// # Panics
     ///
-    /// Does not panic: invalid configurations are reported by the
-    /// operation methods (validation is re-run per call so a config edited
-    /// in place cannot bypass it).
+    /// Does not panic: invalid configurations are reported by
+    /// [`AnalogSimulator::derive`] and the operation methods.
     pub fn new(config: SimConfig) -> Self {
         AnalogSimulator { config }
     }
@@ -141,17 +148,37 @@ impl AnalogSimulator {
         &self.config
     }
 
-    /// Effective per-array conductances after the interconnect model.
-    fn effective_conductances(&self, p: &ProgrammedMatrix) -> Result<(Matrix, Matrix)> {
-        match self.config.interconnect {
-            InterconnectModel::Ideal | InterconnectModel::ExactGrid { .. } => {
-                Ok((p.pos().conductances(), p.neg().conductances()))
-            }
-            InterconnectModel::SeriesApprox { r_segment } => Ok((
-                series_effective_conductances(&p.pos().conductances(), r_segment)?,
-                series_effective_conductances(&p.neg().conductances(), r_segment)?,
-            )),
-        }
+    /// Derives the per-array solve state of `programmed` under this
+    /// simulator's configuration: validates the configuration and
+    /// applies the interconnect model to the conductances. The rest of
+    /// the per-array work happens inside the returned state, once, on
+    /// the first operation that needs it.
+    ///
+    /// # Errors
+    ///
+    /// Configuration and interconnect-model errors.
+    pub fn derive(&self, programmed: &ProgrammedMatrix) -> Result<DerivedArray> {
+        self.config.validate()?;
+        let (g_pos, g_neg) = match self.config.interconnect {
+            InterconnectModel::Ideal | InterconnectModel::ExactGrid { .. } => (
+                programmed.pos().conductances(),
+                programmed.neg().conductances(),
+            ),
+            InterconnectModel::SeriesApprox { r_segment } => (
+                series_effective_conductances(&programmed.pos().conductances(), r_segment)?,
+                series_effective_conductances(&programmed.neg().conductances(), r_segment)?,
+            ),
+        };
+        Ok(DerivedArray {
+            config: self.config,
+            g0: programmed.g0(),
+            scale: programmed.scale(),
+            g_pos,
+            g_neg,
+            feedback: OnceLock::new(),
+            inv_settle_s: OnceLock::new(),
+            mvm_settle_s: OnceLock::new(),
+        })
     }
 
     /// Simulates an MVM operation: returns `−A·x` (mathematically) for the
@@ -162,36 +189,7 @@ impl AnalogSimulator {
     /// Configuration, shape, convergence, and (if enabled) saturation
     /// errors.
     pub fn mvm(&self, programmed: &ProgrammedMatrix, x: &[f64]) -> Result<CircuitOutput> {
-        self.config.validate()?;
-        let g0 = programmed.g0();
-        let (gp, gn) = self.effective_conductances(programmed)?;
-
-        let volts = match self.config.interconnect {
-            InterconnectModel::ExactGrid { r_segment } => {
-                grid::mvm_exact(programmed, x, r_segment)?.volts
-            }
-            _ => mvm::solve_mvm(&gp, &gn, g0, x, self.config.opamp.gain)?.volts,
-        };
-        if self.config.check_saturation {
-            self.config.opamp.check_saturation(&volts)?;
-        }
-        let power_w = match self.config.interconnect {
-            InterconnectModel::ExactGrid { r_segment } => {
-                let out = grid::mvm_exact(programmed, x, r_segment)?;
-                out.array_power_w + gp.rows() as f64 * self.config.opamp.static_power_w()
-            }
-            _ => power::mvm_power(&gp, &gn, g0, x, &volts, &self.config.opamp)?,
-        };
-        let max_row = gp.add_matrix(&gn)?.norm_inf() / g0;
-        let settle_time_s =
-            timing::mvm_settle_time(max_row, &self.config.opamp, self.config.settle_epsilon)?;
-        let scale = programmed.scale();
-        Ok(CircuitOutput {
-            values: volts.iter().map(|v| v * scale).collect(),
-            volts,
-            power_w,
-            settle_time_s,
-        })
+        self.derive(programmed)?.mvm(programmed, x)
     }
 
     /// Simulates an INV operation: returns `−A⁻¹·b` (mathematically) for
@@ -203,34 +201,119 @@ impl AnalogSimulator {
     /// Configuration, shape, operating-point, and (if enabled) saturation
     /// errors.
     pub fn inv(&self, programmed: &ProgrammedMatrix, b: &[f64]) -> Result<CircuitOutput> {
-        self.config.validate()?;
-        let g0 = programmed.g0();
-        let (gp, gn) = self.effective_conductances(programmed)?;
+        self.derive(programmed)?.inv(programmed, b)
+    }
+}
 
-        let (volts, grid_power) = match self.config.interconnect {
+/// The solve state of one programmed array under one [`SimConfig`]:
+/// everything an MVM or INV needs that depends on the array alone.
+///
+/// Holds the effective conductances (after the interconnect model) and
+/// computes, each on the first operation that needs it and never again,
+/// the factorized INV feedback system ([`inv::InvCircuit`]) and the INV
+/// and MVM settle times. A part whose computation fails keeps its error
+/// and reports it on every operation that needs the part, at the point
+/// of the operation where it arises. Outputs are bit-identical to a
+/// fresh derivation per operation. The exact-grid interconnect still
+/// solves its grids per operation.
+///
+/// Obtained from [`AnalogSimulator::derive`].
+#[derive(Debug)]
+pub struct DerivedArray {
+    config: SimConfig,
+    g0: f64,
+    scale: f64,
+    g_pos: Matrix,
+    g_neg: Matrix,
+    feedback: OnceLock<Result<inv::InvCircuit>>,
+    inv_settle_s: OnceLock<Result<f64>>,
+    mvm_settle_s: OnceLock<Result<f64>>,
+}
+
+/// The value in `cell`, computed by `init` on first access; an error is
+/// kept and handed out (cloned) like a value.
+fn cached<T>(cell: &OnceLock<Result<T>>, init: impl FnOnce() -> Result<T>) -> Result<&T> {
+    cell.get_or_init(init).as_ref().map_err(Clone::clone)
+}
+
+impl DerivedArray {
+    /// The configuration this state was derived under.
+    pub fn config(&self) -> &SimConfig {
+        &self.config
+    }
+
+    /// Simulates an MVM on the array: returns `−A·x` (mathematically).
+    /// `programmed` must be the array this state was derived from (the
+    /// exact-grid interconnect re-solves its grids from it).
+    ///
+    /// # Errors
+    ///
+    /// Shape, convergence, and (if enabled) saturation errors.
+    pub fn mvm(&self, programmed: &ProgrammedMatrix, x: &[f64]) -> Result<CircuitOutput> {
+        let opamp = &self.config.opamp;
+        let (volts, grid_power_w) = match self.config.interconnect {
             InterconnectModel::ExactGrid { r_segment } => {
-                let out = grid::inv_exact(programmed, b, r_segment)?;
-                let p = out.array_power_w;
-                (out.volts, Some(p))
+                let out = grid::mvm_exact(programmed, x, r_segment)?;
+                (out.volts, Some(out.array_power_w))
             }
             _ => (
-                inv::solve_inv(&gp, &gn, g0, b, self.config.opamp.gain)?.volts,
+                mvm::solve_mvm(&self.g_pos, &self.g_neg, self.g0, x, opamp.gain)?.volts,
                 None,
             ),
         };
         if self.config.check_saturation {
-            self.config.opamp.check_saturation(&volts)?;
+            opamp.check_saturation(&volts)?;
         }
-        let power_w = match grid_power {
-            Some(p) => p + gp.rows() as f64 * self.config.opamp.static_power_w(),
-            None => power::inv_power(&gp, &gn, g0, b, &volts, &self.config.opamp)?,
+        let power_w = match grid_power_w {
+            Some(p) => p + self.g_pos.rows() as f64 * opamp.static_power_w(),
+            None => power::mvm_power(&self.g_pos, &self.g_neg, self.g0, x, &volts, opamp)?,
         };
-        let g_hat = gp.sub_matrix(&gn)?.scaled(1.0 / g0);
-        let settle_time_s =
-            timing::inv_settle_time(&g_hat, &self.config.opamp, self.config.settle_epsilon)?;
-        let scale = programmed.scale();
+        let settle_time_s = *cached(&self.mvm_settle_s, || {
+            let max_row = self.g_pos.add_matrix(&self.g_neg)?.norm_inf() / self.g0;
+            timing::mvm_settle_time(max_row, opamp, self.config.settle_epsilon)
+        })?;
         Ok(CircuitOutput {
-            values: volts.iter().map(|v| v / scale).collect(),
+            values: volts.iter().map(|v| v * self.scale).collect(),
+            volts,
+            power_w,
+            settle_time_s,
+        })
+    }
+
+    /// Simulates an INV on the array: returns `−A⁻¹·b` (mathematically).
+    /// `programmed` must be the array this state was derived from (the
+    /// exact-grid interconnect re-solves its grids from it).
+    ///
+    /// # Errors
+    ///
+    /// Shape, operating-point, and (if enabled) saturation errors.
+    pub fn inv(&self, programmed: &ProgrammedMatrix, b: &[f64]) -> Result<CircuitOutput> {
+        let opamp = &self.config.opamp;
+        let (volts, grid_power_w) = match self.config.interconnect {
+            InterconnectModel::ExactGrid { r_segment } => {
+                let out = grid::inv_exact(programmed, b, r_segment)?;
+                (out.volts, Some(out.array_power_w))
+            }
+            _ => {
+                let feedback = cached(&self.feedback, || {
+                    inv::InvCircuit::new(&self.g_pos, &self.g_neg, self.g0, opamp.gain)
+                })?;
+                (feedback.solve(b)?.volts, None)
+            }
+        };
+        if self.config.check_saturation {
+            opamp.check_saturation(&volts)?;
+        }
+        let power_w = match grid_power_w {
+            Some(p) => p + self.g_pos.rows() as f64 * opamp.static_power_w(),
+            None => power::inv_power(&self.g_pos, &self.g_neg, self.g0, b, &volts, opamp)?,
+        };
+        let settle_time_s = *cached(&self.inv_settle_s, || {
+            let g_hat = self.g_pos.sub_matrix(&self.g_neg)?.scaled(1.0 / self.g0);
+            timing::inv_settle_time(&g_hat, opamp, self.config.settle_epsilon)
+        })?;
+        Ok(CircuitOutput {
+            values: volts.iter().map(|v| v / self.scale).collect(),
             volts,
             power_w,
             settle_time_s,
@@ -366,6 +449,73 @@ mod tests {
         let sim = AnalogSimulator::new(cfg);
         let err = sim.inv(&p, &[1.0, -1.0]);
         assert!(matches!(err, Err(CircuitError::OutputSaturated { .. })));
+    }
+
+    fn output_bits(out: &CircuitOutput) -> (Vec<u64>, Vec<u64>, u64, u64) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (
+            bits(&out.values),
+            bits(&out.volts),
+            out.power_w.to_bits(),
+            out.settle_time_s.to_bits(),
+        )
+    }
+
+    #[test]
+    fn derived_array_reuse_is_bit_identical_to_fresh_derivation() {
+        let a =
+            Matrix::from_rows(&[&[2.0, 0.5, -0.3], &[0.5, 1.5, 0.2], &[-0.3, 0.2, 1.8]]).unwrap();
+        let p = program(&a, 8);
+        let mut exact_grid = SimConfig::ideal();
+        exact_grid.interconnect = InterconnectModel::ExactGrid { r_segment: 5.0 };
+        for cfg in [
+            SimConfig::ideal(),
+            SimConfig::finite_gain_only(),
+            SimConfig::paper_nonideal(),
+            exact_grid,
+        ] {
+            let sim = AnalogSimulator::new(cfg);
+            let derived = sim.derive(&p).unwrap();
+            assert_eq!(derived.config(), &cfg);
+            for b in [[0.4, 0.1, -0.2], [-0.1, 0.3, 0.05], [0.4, 0.1, -0.2]] {
+                let inv = derived.inv(&p, &b).unwrap();
+                assert_eq!(output_bits(&inv), output_bits(&sim.inv(&p, &b).unwrap()));
+                let mvm = derived.mvm(&p, &b).unwrap();
+                assert_eq!(output_bits(&mvm), output_bits(&sim.mvm(&p, &b).unwrap()));
+            }
+        }
+    }
+
+    #[test]
+    fn exact_grid_mvm_power_comes_from_its_one_grid_solve() {
+        let a = sample();
+        let p = program(&a, 9);
+        let mut cfg = SimConfig::ideal();
+        cfg.interconnect = InterconnectModel::ExactGrid { r_segment: 20.0 };
+        let x = [0.3, -0.2];
+        let out = AnalogSimulator::new(cfg).mvm(&p, &x).unwrap();
+        let grid = grid::mvm_exact(&p, &x, 20.0).unwrap();
+        let expect = grid.array_power_w + 2.0 * cfg.opamp.static_power_w();
+        assert_eq!(out.power_w.to_bits(), expect.to_bits());
+        assert_eq!(out.volts, grid.volts);
+    }
+
+    #[test]
+    fn derived_array_keeps_its_inv_failure_and_still_serves_mvm() {
+        // Singular: no INV operating point, but a perfectly good MVM.
+        let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]).unwrap();
+        let p = program(&a, 10);
+        let sim = AnalogSimulator::new(SimConfig::ideal());
+        let derived = sim.derive(&p).unwrap();
+        let first = derived.inv(&p, &[0.1, 0.1]).unwrap_err();
+        assert!(matches!(first, CircuitError::NoOperatingPoint { .. }));
+        assert_eq!(derived.inv(&p, &[0.2, -0.1]).unwrap_err(), first);
+        assert_eq!(sim.inv(&p, &[0.1, 0.1]).unwrap_err(), first);
+        let mvm = derived.mvm(&p, &[0.1, 0.1]).unwrap();
+        assert_eq!(
+            output_bits(&mvm),
+            output_bits(&sim.mvm(&p, &[0.1, 0.1]).unwrap())
+        );
     }
 
     #[test]

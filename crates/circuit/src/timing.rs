@@ -93,9 +93,10 @@ pub fn min_eigenvalue_magnitude(a: &Matrix) -> Result<f64> {
         .map_err(|e| CircuitError::no_op_point(format!("singular matrix: {e}")))?;
     // Inverse power iteration converges to the eigenvector of the smallest
     // |eigenvalue|; 50 iterations is plenty for a timing estimate. This
-    // runs for every INV settle-time estimate, so the iteration reuses
-    // two scratch buffers through the borrowed linalg kernels instead of
-    // allocating three vectors per pass.
+    // runs once per programmed array (`sim::DerivedArray` keeps the INV
+    // settle time), and the iteration reuses two scratch buffers through
+    // the borrowed linalg kernels instead of allocating three vectors
+    // per pass.
     let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.7).sin()).collect();
     let mut w = vec![0.0; n];
     let mut av = vec![0.0; n];

@@ -169,9 +169,8 @@ const SHARDS_PER_WORKER: usize = 4;
 /// right-hand sides over a work-stealing pool (`amc_par`).
 ///
 /// **Bit-identical to the serial path at every worker count.** Each
-/// replica carries a bitwise copy of the arrays programmed by the one
-/// `prepare` call — the same effective conductances, hence the same
-/// variation draw — so a right-hand side produces the same solution no
+/// replica shares the arrays programmed by the one `prepare` call —
+/// the same effective conductances, hence the same variation draw — so a right-hand side produces the same solution no
 /// matter which worker solves it, and the merged output (always in
 /// input order) equals `solve_batch`'s exactly. `workers == 1` runs
 /// the serial path itself.

@@ -4,7 +4,7 @@ use std::any::Any;
 
 use amc_linalg::{lu::LuFactor, Matrix};
 
-use super::{AmcEngine, EngineStats, Operand, OperandState};
+use super::{AmcEngine, EngineStats, OnceDerived, Operand, OperandState};
 use crate::{BlockAmcError, Result};
 
 /// Default LU panel width of [`BlockedNumericEngine`]: 32 columns of
@@ -12,12 +12,12 @@ use crate::{BlockAmcError, Result};
 /// alongside the streamed trailing rows.
 pub const DEFAULT_BLOCK: usize = 32;
 
-/// Operand state of [`BlockedNumericEngine`]: the exact matrix with a
-/// lazily built *panel-tiled* LU factorization.
+/// Operand state of [`BlockedNumericEngine`]: the exact matrix with its
+/// *panel-tiled* LU factorization, built on the first INV and shared by
+/// every clone.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockedOperand {
-    pub(crate) a: Matrix,
-    pub(crate) lu: Option<LuFactor>,
+    pub(crate) array: OnceDerived<Matrix, LuFactor>,
     pub(crate) block: usize,
 }
 
@@ -27,18 +27,14 @@ impl OperandState for BlockedOperand {
     }
 
     fn shape(&self) -> (usize, usize) {
-        self.a.shape()
+        self.array.programmed().shape()
     }
 
     fn effective_matrix(&self) -> Matrix {
-        self.a.clone()
+        self.array.programmed().clone()
     }
 
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 }
@@ -97,8 +93,7 @@ impl AmcEngine for BlockedNumericEngine {
     fn program(&mut self, a: &Matrix) -> Result<Operand> {
         self.stats.count_program();
         Ok(Operand::new(BlockedOperand {
-            a: a.clone(),
-            lu: None,
+            array: OnceDerived::new(a.clone()),
             block: self.block,
         }))
     }
@@ -110,11 +105,10 @@ impl AmcEngine for BlockedNumericEngine {
     }
 
     fn inv_into(&mut self, operand: &mut Operand, b: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        let state = operand.expect_state_mut::<BlockedOperand>("blocked")?;
-        if state.lu.is_none() {
-            state.lu = Some(LuFactor::new_blocked(&state.a, state.block)?);
-        }
-        let lu = state.lu.as_ref().expect("factorization was just installed");
+        let state = operand.expect_state::<BlockedOperand>("blocked")?;
+        let lu = state
+            .array
+            .derive_with(|a| LuFactor::new_blocked(a, state.block))?;
         out.resize(lu.dim(), 0.0);
         lu.solve_into(b, out)?;
         amc_linalg::vector::neg_in_place(out);
@@ -129,9 +123,12 @@ impl AmcEngine for BlockedNumericEngine {
     }
 
     fn mvm_into(&mut self, operand: &mut Operand, x: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        let state = operand.expect_state_mut::<BlockedOperand>("blocked")?;
-        out.resize(state.a.rows(), 0.0);
-        state.a.matvec_into(x, out)?;
+        let a = operand
+            .expect_state::<BlockedOperand>("blocked")?
+            .array
+            .programmed();
+        out.resize(a.rows(), 0.0);
+        a.matvec_into(x, out)?;
         amc_linalg::vector::neg_in_place(out);
         self.stats.count_mvm();
         Ok(())
@@ -197,6 +194,29 @@ mod tests {
         assert_eq!(out.as_ptr(), base_ptr, "no reallocation across solves");
         assert_eq!(e.stats().inv_ops, 3);
         assert_eq!(e.stats().program_ops, 1);
+    }
+
+    #[test]
+    fn clones_share_the_factorization() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let a = generate::wishart_default(9, &mut rng).unwrap();
+        let b = generate::random_vector(9, &mut rng);
+        let mut e = BlockedNumericEngine::new(4).unwrap();
+        let mut original = e.program(&a).unwrap();
+        let mut clone = original.clone();
+        let factorized = |op: &Operand| {
+            let state = op.downcast_ref::<BlockedOperand>().unwrap();
+            state.array.derived().is_some()
+        };
+        assert!(!factorized(&original));
+        let x_clone = e.inv(&mut clone, &b).unwrap();
+        assert!(
+            factorized(&original),
+            "clone's INV installs the shared factor"
+        );
+        let x_orig = e.inv(&mut original, &b).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x_orig), bits(&x_clone));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::any::Any;
 
-use amc_circuit::sim::{AnalogSimulator, SimConfig};
+use amc_circuit::sim::{AnalogSimulator, CircuitOutput, DerivedArray, SimConfig};
 use amc_device::array::ProgrammedMatrix;
 use amc_device::mapping::MappingConfig;
 use amc_device::variation::VariationModel;
@@ -10,14 +10,16 @@ use amc_linalg::Matrix;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use super::{AmcEngine, EngineStats, Operand, OperandState};
+use super::{AmcEngine, EngineStats, OnceDerived, Operand, OperandState};
 use crate::Result;
 
 /// Operand state of [`CircuitEngine`]: a conductance-programmed
-/// crossbar pair.
+/// crossbar pair with its per-array solve state (effective
+/// conductances, INV feedback factorization, settle times), derived on
+/// the first operation and shared by every clone.
 #[derive(Debug, Clone)]
 pub(crate) struct CircuitOperand {
-    pub(crate) programmed: ProgrammedMatrix,
+    pub(crate) array: OnceDerived<ProgrammedMatrix, DerivedArray>,
 }
 
 impl OperandState for CircuitOperand {
@@ -26,18 +28,14 @@ impl OperandState for CircuitOperand {
     }
 
     fn shape(&self) -> (usize, usize) {
-        self.programmed.shape()
+        self.array.programmed().shape()
     }
 
     fn effective_matrix(&self) -> Matrix {
-        self.programmed.effective_matrix()
+        self.array.programmed().effective_matrix()
     }
 
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 }
@@ -160,6 +158,28 @@ impl CircuitEngine {
     pub fn config(&self) -> &CircuitEngineConfig {
         &self.config
     }
+
+    /// Runs `op` on the operand's per-array solve state — derived on
+    /// first use and shared by every clone — and charges its settle time
+    /// and energy. State derived by an engine with a different
+    /// [`SimConfig`] is not reused: this call derives its own.
+    fn simulate(
+        &mut self,
+        operand: &Operand,
+        op: impl FnOnce(&DerivedArray, &ProgrammedMatrix) -> amc_circuit::Result<CircuitOutput>,
+    ) -> Result<Vec<f64>> {
+        let array = &operand.expect_state::<CircuitOperand>("circuit")?.array;
+        let programmed = array.programmed();
+        let shared = array.derive_with(|p| self.sim.derive(p))?;
+        let out = if shared.config() == self.sim.config() {
+            op(shared, programmed)?
+        } else {
+            op(&self.sim.derive(programmed)?, programmed)?
+        };
+        self.stats.analog_time_s += out.settle_time_s;
+        self.stats.analog_energy_j += out.settle_time_s * out.power_w;
+        Ok(out.values)
+    }
 }
 
 impl AmcEngine for CircuitEngine {
@@ -171,25 +191,21 @@ impl AmcEngine for CircuitEngine {
             &mut self.rng,
         )?;
         self.stats.count_program();
-        Ok(Operand::new(CircuitOperand { programmed }))
+        Ok(Operand::new(CircuitOperand {
+            array: OnceDerived::new(programmed),
+        }))
     }
 
     fn inv(&mut self, operand: &mut Operand, b: &[f64]) -> Result<Vec<f64>> {
-        let state = operand.expect_state_mut::<CircuitOperand>("circuit")?;
-        let out = self.sim.inv(&state.programmed, b)?;
+        let values = self.simulate(operand, |d, p| d.inv(p, b))?;
         self.stats.count_inv();
-        self.stats.analog_time_s += out.settle_time_s;
-        self.stats.analog_energy_j += out.settle_time_s * out.power_w;
-        Ok(out.values)
+        Ok(values)
     }
 
     fn mvm(&mut self, operand: &mut Operand, x: &[f64]) -> Result<Vec<f64>> {
-        let state = operand.expect_state_mut::<CircuitOperand>("circuit")?;
-        let out = self.sim.mvm(&state.programmed, x)?;
+        let values = self.simulate(operand, |d, p| d.mvm(p, x))?;
         self.stats.count_mvm();
-        self.stats.analog_time_s += out.settle_time_s;
-        self.stats.analog_energy_j += out.settle_time_s * out.power_w;
-        Ok(out.values)
+        Ok(values)
     }
 
     fn name(&self) -> &'static str {
@@ -209,7 +225,8 @@ impl AmcEngine for CircuitEngine {
 mod tests {
     use super::super::NumericEngine;
     use super::*;
-    use amc_linalg::vector;
+    use amc_linalg::{generate, vector};
+    use proptest::prelude::*;
 
     fn sample() -> Matrix {
         Matrix::from_rows(&[&[2.0, 0.5], &[0.5, 1.5]]).unwrap()
@@ -279,5 +296,121 @@ mod tests {
             CircuitEngine::new(CircuitEngineConfig::ideal(), 0).name(),
             "circuit"
         );
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn output_bits(out: &CircuitOutput) -> (Vec<u64>, Vec<u64>, u64, u64) {
+        (
+            bits(&out.values),
+            bits(&out.volts),
+            out.power_w.to_bits(),
+            out.settle_time_s.to_bits(),
+        )
+    }
+
+    fn state(op: &Operand) -> &OnceDerived<ProgrammedMatrix, DerivedArray> {
+        &op.downcast_ref::<CircuitOperand>().unwrap().array
+    }
+
+    /// Finite-gain op-amps and series interconnect on ideal devices.
+    fn paper_nonideal() -> CircuitEngineConfig {
+        CircuitEngineConfig {
+            sim: SimConfig::paper_nonideal(),
+            ..CircuitEngineConfig::ideal_mapping()
+        }
+    }
+
+    #[test]
+    fn operand_rederives_under_a_different_sim_config() {
+        let a = sample();
+        let b = [0.3, -0.2];
+        let mut first = CircuitEngine::new(CircuitEngineConfig::ideal_mapping(), 5);
+        let mut second = CircuitEngine::new(paper_nonideal(), 5);
+        let mut op = first.program(&a).unwrap();
+        let x_first = first.inv(&mut op, &b).unwrap();
+        let x_second = second.inv(&mut op, &b).unwrap();
+
+        let array = state(&op);
+        let fresh = AnalogSimulator::new(SimConfig::paper_nonideal())
+            .inv(array.programmed(), &b)
+            .unwrap();
+        assert_eq!(bits(&x_second), bits(&fresh.values));
+        assert_ne!(x_first, x_second, "the wires must change the answer");
+        // The shared state still belongs to the engine that derived it.
+        let derived = array.derived().unwrap();
+        assert_eq!(derived.config(), &first.config().sim);
+    }
+
+    proptest! {
+        // Repeated INV/MVM through one operand and its clones — taken
+        // both before and after the per-array state was derived — is
+        // bit-identical to a fresh, uncached simulation of the same
+        // programmed array, down to the engine's analog cost counters.
+        #[test]
+        fn shared_state_is_bit_identical_to_fresh_simulation(
+            config_idx in 0usize..4,
+            n in 2usize..9,
+            seed in 0u64..1024,
+            ops in proptest::collection::vec((0usize..8, any::<bool>()), 1..10),
+        ) {
+            let config = [
+                CircuitEngineConfig::ideal(),
+                CircuitEngineConfig::paper_variation(),
+                CircuitEngineConfig::paper_full(),
+                paper_nonideal(),
+            ][config_idx];
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let a = generate::wishart_default(n, &mut rng).unwrap();
+            let mut engine = CircuitEngine::new(config, seed);
+            let original = engine.program(&a).unwrap();
+            let mut operands = vec![original.clone(), original];
+            let fresh = AnalogSimulator::new(config.sim);
+            for (step, (which, is_inv)) in ops.into_iter().enumerate() {
+                if step == 1 {
+                    operands.push(operands[0].clone());
+                }
+                let idx = which % operands.len();
+                let x = generate::random_vector(n, &mut rng);
+                let programmed = state(&operands[idx]).programmed();
+                let expect = if is_inv {
+                    fresh.inv(programmed, &x)
+                } else {
+                    fresh.mvm(programmed, &x)
+                }
+                .unwrap();
+
+                let op = &mut operands[idx];
+                let before = engine.stats();
+                let values = if is_inv {
+                    engine.inv(op, &x)
+                } else {
+                    engine.mvm(op, &x)
+                }
+                .unwrap();
+                let after = engine.stats();
+                prop_assert_eq!(bits(&values), bits(&expect.values));
+                prop_assert_eq!(
+                    after.analog_time_s.to_bits(),
+                    (before.analog_time_s + expect.settle_time_s).to_bits()
+                );
+                prop_assert_eq!(
+                    after.analog_energy_j.to_bits(),
+                    (before.analog_energy_j + expect.settle_time_s * expect.power_w).to_bits()
+                );
+
+                let array = state(op);
+                let derived = array.derived().expect("the op derived the shared state");
+                let cached = if is_inv {
+                    derived.inv(array.programmed(), &x)
+                } else {
+                    derived.mvm(array.programmed(), &x)
+                }
+                .unwrap();
+                prop_assert_eq!(output_bits(&cached), output_bits(&expect));
+            }
+        }
     }
 }

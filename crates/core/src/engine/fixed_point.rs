@@ -11,15 +11,14 @@ use std::any::Any;
 
 use amc_linalg::{lu::LuFactor, Matrix};
 
-use super::{AmcEngine, EngineStats, Operand, OperandState};
+use super::{AmcEngine, EngineStats, OnceDerived, Operand, OperandState};
 use crate::{BlockAmcError, Result};
 
-/// Operand state of [`FixedPointEngine`]: the quantized matrix with a
-/// cached LU factorization of it.
+/// Operand state of [`FixedPointEngine`]: the quantized matrix with its
+/// LU factorization, built on the first INV and shared by every clone.
 #[derive(Debug, Clone)]
 pub(crate) struct FixedPointOperand {
-    pub(crate) a_q: Matrix,
-    pub(crate) lu: Option<LuFactor>,
+    pub(crate) array: OnceDerived<Matrix, LuFactor>,
 }
 
 impl OperandState for FixedPointOperand {
@@ -28,18 +27,14 @@ impl OperandState for FixedPointOperand {
     }
 
     fn shape(&self) -> (usize, usize) {
-        self.a_q.shape()
+        self.array.programmed().shape()
     }
 
     fn effective_matrix(&self) -> Matrix {
-        self.a_q.clone()
+        self.array.programmed().clone()
     }
 
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 }
@@ -128,7 +123,9 @@ impl AmcEngine for FixedPointEngine {
         let step = self.step(a.max_abs());
         let a_q = a.map(|v| quantize(v, step));
         self.stats.count_program();
-        Ok(Operand::new(FixedPointOperand { a_q, lu: None }))
+        Ok(Operand::new(FixedPointOperand {
+            array: OnceDerived::new(a_q),
+        }))
     }
 
     fn inv(&mut self, operand: &mut Operand, b: &[f64]) -> Result<Vec<f64>> {
@@ -144,11 +141,8 @@ impl AmcEngine for FixedPointEngine {
         // forfeits the reuse, never correctness).
         let mut b_q = std::mem::take(&mut self.scratch);
         self.quantize_slice_into(b, &mut b_q);
-        let state = operand.expect_state_mut::<FixedPointOperand>("fixed-point")?;
-        if state.lu.is_none() {
-            state.lu = Some(LuFactor::new(&state.a_q)?);
-        }
-        let lu = state.lu.as_ref().expect("factorization was just installed");
+        let state = operand.expect_state::<FixedPointOperand>("fixed-point")?;
+        let lu = state.array.derive_with(LuFactor::new)?;
         out.resize(lu.dim(), 0.0);
         let solved = lu.solve_into(&b_q, out);
         self.scratch = b_q;
@@ -168,9 +162,12 @@ impl AmcEngine for FixedPointEngine {
     fn mvm_into(&mut self, operand: &mut Operand, x: &[f64], out: &mut Vec<f64>) -> Result<()> {
         let mut x_q = std::mem::take(&mut self.scratch);
         self.quantize_slice_into(x, &mut x_q);
-        let state = operand.expect_state_mut::<FixedPointOperand>("fixed-point")?;
-        out.resize(state.a_q.rows(), 0.0);
-        let multiplied = state.a_q.matvec_into(&x_q, out);
+        let a_q = operand
+            .expect_state::<FixedPointOperand>("fixed-point")?
+            .array
+            .programmed();
+        out.resize(a_q.rows(), 0.0);
+        let multiplied = a_q.matvec_into(&x_q, out);
         self.scratch = x_q;
         multiplied?;
         amc_linalg::vector::neg_in_place(out);
@@ -261,6 +258,29 @@ mod tests {
             e.mvm_into(&mut op, &b, &mut out).unwrap();
         }
         assert_eq!(e.scratch.as_ptr(), scratch_ptr, "scratch must be reused");
+    }
+
+    #[test]
+    fn clones_share_the_factorization() {
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let a = generate::wishart_default(9, &mut rng).unwrap();
+        let b = generate::random_vector(9, &mut rng);
+        let mut e = FixedPointEngine::new(12).unwrap();
+        let mut original = e.program(&a).unwrap();
+        let mut clone = original.clone();
+        let factorized = |op: &Operand| {
+            let state = op.downcast_ref::<FixedPointOperand>().unwrap();
+            state.array.derived().is_some()
+        };
+        assert!(!factorized(&original));
+        let x_clone = e.inv(&mut clone, &b).unwrap();
+        assert!(
+            factorized(&original),
+            "clone's INV installs the shared factor"
+        );
+        let x_orig = e.inv(&mut original, &b).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x_orig), bits(&x_clone));
     }
 
     #[test]

@@ -18,7 +18,11 @@
 //! Matrices are programmed once via [`AmcEngine::program`] and the
 //! returned [`Operand`] is reused across steps — this matters physically:
 //! block `A1` is used twice (steps 1 and 5) *on the same array*, so both
-//! steps must see the same variation draw.
+//! steps must see the same variation draw. It matters for speed too:
+//! whatever a backend derives from the programmed array (an LU factor,
+//! a circuit's feedback system and settle times) is derived once and
+//! shared by every clone of the operand — see [`OperandState`] and
+//! [`OnceDerived`].
 //!
 //! # Object safety
 //!
@@ -48,6 +52,7 @@
 use std::any::Any;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
+use std::sync::{Arc, OnceLock};
 
 use amc_linalg::Matrix;
 
@@ -72,9 +77,31 @@ pub use registry::{EngineRegistry, EngineSpec};
 /// copy, …) and keeps it **in the backend module** — core neither
 /// enumerates nor constrains the possibilities. The engine recovers its
 /// concrete type through [`Operand::downcast_ref`] /
-/// [`Operand::downcast_mut`].
+/// [`Operand::expect_state`].
+///
+/// # Contract
+///
+/// The solver stack relies on three properties of every state, in-tree
+/// and external backends (such as `amc-engine-simd`) alike:
+///
+/// * **Immutable after programming.** What [`AmcEngine::program`]
+///   wrote is never changed by INV or MVM; a new array is a new
+///   operand (re-programming replaces the operand).
+/// * **Derived once.** State computed from the programmed array alone
+///   (a factorization, a feedback system, a settle-time estimate) is
+///   computed at most once per programmed array, on first use.
+/// * **Shared by clones.** [`OperandState::clone_boxed`] shares the
+///   programmed array and its derived state instead of copying or
+///   recomputing them, so replicating a prepared solver (a server's
+///   per-request dispatch, a parallel batch's per-worker copies) costs
+///   reference-count bumps, and the first INV on any clone serves all
+///   of them.
+///
+/// [`OnceDerived`] implements all three; a backend's state is usually
+/// one `OnceDerived` plus plain configuration.
 pub trait OperandState: Any + fmt::Debug + Send {
-    /// Clones the state behind the type erasure.
+    /// Clones the state behind the type erasure, sharing (not copying)
+    /// the programmed array and its derived state.
     fn clone_boxed(&self) -> Box<dyn OperandState>;
 
     /// Shape `(rows, cols)` of the represented matrix.
@@ -86,9 +113,6 @@ pub trait OperandState: Any + fmt::Debug + Send {
 
     /// Upcasts to [`Any`] for downcasting.
     fn as_any(&self) -> &dyn Any;
-
-    /// Upcasts to [`Any`] for mutable downcasting.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// A matrix prepared for repeated AMC operations by a specific engine.
@@ -134,18 +158,76 @@ impl Operand {
         self.state.as_any().downcast_ref::<T>()
     }
 
-    /// Mutably borrows the state as a concrete backend type, if it
-    /// matches.
-    pub fn downcast_mut<T: OperandState>(&mut self) -> Option<&mut T> {
-        self.state.as_any_mut().downcast_mut::<T>()
-    }
-
-    /// Like [`Operand::downcast_mut`], but failure is the standard
+    /// Like [`Operand::downcast_ref`], but failure is the standard
     /// [`BlockAmcError::OperandMismatch`] an engine reports when handed
     /// an operand programmed by a different backend.
-    pub fn expect_state_mut<T: OperandState>(&mut self, engine: &'static str) -> Result<&mut T> {
-        self.downcast_mut::<T>()
+    pub fn expect_state<T: OperandState>(&self, engine: &'static str) -> Result<&T> {
+        self.downcast_ref::<T>()
             .ok_or(BlockAmcError::OperandMismatch { engine })
+    }
+}
+
+/// A programmed array and the state derived from it, computed once and
+/// shared by every clone — the [`OperandState`] contract in one type.
+///
+/// `P` is what [`AmcEngine::program`] produced (an exact or quantized
+/// matrix, a conductance-programmed crossbar pair) and `D` what the
+/// backend derives from it on first use (an LU factor, a circuit's
+/// per-array solve state). Both sit behind [`Arc`]s, so [`Clone`] is
+/// two reference-count bumps. The first [`OnceDerived::derive_with`] on
+/// any clone installs `D` for all of them; a caller that races it and
+/// loses drops its own (identical, since derivation is deterministic)
+/// copy and uses the installed one.
+#[derive(Debug)]
+pub struct OnceDerived<P, D> {
+    programmed: Arc<P>,
+    derived: Arc<OnceLock<D>>,
+}
+
+impl<P, D> OnceDerived<P, D> {
+    /// Wraps a freshly programmed array with nothing derived yet.
+    pub fn new(programmed: P) -> Self {
+        OnceDerived {
+            programmed: Arc::new(programmed),
+            derived: Arc::new(OnceLock::new()),
+        }
+    }
+
+    /// The programmed array.
+    pub fn programmed(&self) -> &P {
+        &self.programmed
+    }
+
+    /// The derived state, if any clone has installed it.
+    pub fn derived(&self) -> Option<&D> {
+        self.derived.get()
+    }
+
+    /// The derived state, computing it with `derive` if no clone has
+    /// yet. A failed derivation installs nothing, so the next call
+    /// retries (and, being deterministic, fails the same way).
+    ///
+    /// # Errors
+    ///
+    /// Whatever `derive` returns.
+    pub fn derive_with<E>(
+        &self,
+        derive: impl FnOnce(&P) -> std::result::Result<D, E>,
+    ) -> std::result::Result<&D, E> {
+        if let Some(d) = self.derived.get() {
+            return Ok(d);
+        }
+        let d = derive(&self.programmed)?;
+        Ok(self.derived.get_or_init(|| d))
+    }
+}
+
+impl<P, D> Clone for OnceDerived<P, D> {
+    fn clone(&self) -> Self {
+        OnceDerived {
+            programmed: Arc::clone(&self.programmed),
+            derived: Arc::clone(&self.derived),
+        }
     }
 }
 
@@ -248,10 +330,13 @@ impl Sub for EngineStats {
 /// construction lives in the data layer: build a backend from an
 /// [`EngineSpec`] (or a registry name) plus a seed.
 pub trait AmcEngine: fmt::Debug + Send {
-    /// Prepares a matrix for repeated operations (factorization for the
-    /// digital backends; conductance mapping + programming for the
-    /// circuit engine — variation is drawn here, once per array, as in
-    /// hardware).
+    /// Prepares a matrix for repeated operations: a copy (quantized for
+    /// `fixed-point`) for the digital backends; conductance mapping +
+    /// programming for the circuit engine — variation is drawn here,
+    /// once per array, as in hardware. What INV needs beyond that (the
+    /// digital LU factor, the circuit's feedback system and settle
+    /// times) is derived lazily on the first INV and shared by every
+    /// clone of the operand (see [`OperandState`]).
     ///
     /// # Errors
     ///

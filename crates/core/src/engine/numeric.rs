@@ -4,15 +4,14 @@ use std::any::Any;
 
 use amc_linalg::{lu::LuFactor, Matrix};
 
-use super::{AmcEngine, EngineStats, Operand, OperandState};
+use super::{AmcEngine, EngineStats, OnceDerived, Operand, OperandState};
 use crate::Result;
 
-/// Operand state of [`NumericEngine`]: the exact matrix with a cached
-/// LU factorization (built lazily on the first INV).
+/// Operand state of [`NumericEngine`]: the exact matrix with its LU
+/// factorization, built on the first INV and shared by every clone.
 #[derive(Debug, Clone)]
 pub(crate) struct NumericOperand {
-    pub(crate) a: Matrix,
-    pub(crate) lu: Option<LuFactor>,
+    pub(crate) array: OnceDerived<Matrix, LuFactor>,
 }
 
 impl OperandState for NumericOperand {
@@ -21,18 +20,14 @@ impl OperandState for NumericOperand {
     }
 
     fn shape(&self) -> (usize, usize) {
-        self.a.shape()
+        self.array.programmed().shape()
     }
 
     fn effective_matrix(&self) -> Matrix {
-        self.a.clone()
+        self.array.programmed().clone()
     }
 
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 }
@@ -71,8 +66,7 @@ impl AmcEngine for NumericEngine {
     fn program(&mut self, a: &Matrix) -> Result<Operand> {
         self.stats.count_program();
         Ok(Operand::new(NumericOperand {
-            a: a.clone(),
-            lu: None,
+            array: OnceDerived::new(a.clone()),
         }))
     }
 
@@ -83,11 +77,8 @@ impl AmcEngine for NumericEngine {
     }
 
     fn inv_into(&mut self, operand: &mut Operand, b: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        let state = operand.expect_state_mut::<NumericOperand>("numeric")?;
-        if state.lu.is_none() {
-            state.lu = Some(LuFactor::new(&state.a)?);
-        }
-        let lu = state.lu.as_ref().expect("factorization was just installed");
+        let state = operand.expect_state::<NumericOperand>("numeric")?;
+        let lu = state.array.derive_with(LuFactor::new)?;
         out.resize(lu.dim(), 0.0);
         lu.solve_into(b, out)?;
         amc_linalg::vector::neg_in_place(out);
@@ -102,9 +93,12 @@ impl AmcEngine for NumericEngine {
     }
 
     fn mvm_into(&mut self, operand: &mut Operand, x: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        let state = operand.expect_state_mut::<NumericOperand>("numeric")?;
-        out.resize(state.a.rows(), 0.0);
-        state.a.matvec_into(x, out)?;
+        let a = operand
+            .expect_state::<NumericOperand>("numeric")?
+            .array
+            .programmed();
+        out.resize(a.rows(), 0.0);
+        a.matvec_into(x, out)?;
         amc_linalg::vector::neg_in_place(out);
         self.stats.count_mvm();
         Ok(())
@@ -146,6 +140,11 @@ mod tests {
         assert!(vector::approx_eq(&neg_y, &[-2.5, -2.0], 1e-12));
     }
 
+    fn factorized(op: &Operand) -> bool {
+        let state = op.downcast_ref::<NumericOperand>().unwrap();
+        state.array.derived().is_some()
+    }
+
     #[test]
     fn numeric_engine_caches_factorization() {
         let mut e = NumericEngine::new();
@@ -154,6 +153,25 @@ mod tests {
         let _ = e.inv(&mut op, &[0.0, 1.0]).unwrap();
         assert_eq!(e.stats().inv_ops, 2);
         assert_eq!(e.stats().program_ops, 1);
+
+        // A clone taken before the first INV shares the factor: INV on
+        // the clone installs it for the original, and both solve
+        // bit-identically.
+        let mut original = e.program(&sample()).unwrap();
+        let mut clone = original.clone();
+        assert!(!factorized(&original));
+        let b = [0.3, -0.7];
+        let x_clone = e.inv(&mut clone, &b).unwrap();
+        assert!(
+            factorized(&original),
+            "clone's INV installs the shared factor"
+        );
+        let x_orig = e.inv(&mut original, &b).unwrap();
+        assert_eq!(bits(&x_orig), bits(&x_clone));
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]

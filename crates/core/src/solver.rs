@@ -673,8 +673,8 @@ impl<E: AmcEngine> PreparedSolver<'_, E> {
     /// replicas — the "independently-programmed macro instances" the
     /// parallel batch layer shards work across.
     ///
-    /// Each replica owns a copy of the engine and of every programmed
-    /// array, modeling a separate hardware deployment whose
+    /// Each replica owns a copy of the engine and shares every
+    /// programmed array, modeling a separate hardware deployment whose
     /// write-and-verify loop reached the **same effective conductances**
     /// as this solver's arrays: the one variation draw taken at
     /// [`BlockAmcSolver::prepare`] time is inherited bitwise. That is
@@ -683,9 +683,13 @@ impl<E: AmcEngine> PreparedSolver<'_, E> {
     /// solving it here, so sharded output cannot depend on the worker
     /// count or on which worker stole which shard.
     ///
-    /// Replication is cheap relative to preparation: no partitioning,
-    /// Schur pre-processing, or variation sampling is repeated — only
-    /// the programmed state is copied.
+    /// Replication costs reference-count bumps, not copies: no
+    /// partitioning, Schur pre-processing, or variation sampling is
+    /// repeated, and the arrays are shared together with whatever has
+    /// been derived from them (LU factors, circuit feedback systems,
+    /// settle times — the [`crate::engine::OperandState`] contract), so
+    /// the first INV on any replica or on this solver derives that
+    /// state for all of them.
     pub fn replicate(&self, n: usize) -> Vec<SolverReplica<E>>
     where
         E: Clone,
@@ -763,7 +767,9 @@ fn solve_prepared<E: AmcEngine>(
 }
 
 /// A self-contained copy of a prepared solver: engine, configuration,
-/// and programmed partition tree, all owned.
+/// and programmed partition tree, all owned (the programmed arrays
+/// shared with the solver it was replicated from; see
+/// [`crate::engine::OperandState`]).
 ///
 /// Created by [`PreparedSolver::replicate`]. Unlike [`PreparedSolver`]
 /// it borrows nothing, so replicas can be moved onto worker threads and
@@ -848,15 +854,16 @@ impl<E: AmcEngine> SolverReplica<E> {
     }
 
     /// Shards `batch` over `workers` solving instances — this replica
-    /// plus `workers − 1` bitwise clones of it — on an `amc_par`
-    /// work-stealing pool, returning the solutions in input order.
+    /// plus `workers − 1` clones of it — on an `amc_par` work-stealing
+    /// pool, returning the solutions in input order.
     ///
     /// **Bit-identical to [`solve_batch`](Self::solve_batch) at every
-    /// worker count**: clones copy the programmed state (the one
-    /// variation draw taken at prepare time), so which worker solves a
-    /// right-hand side cannot show in the output. This is the entry the
-    /// `amc-serve` dispatcher drives when it coalesces concurrent
-    /// requests against one cached replica into a shared batch.
+    /// worker count**: clones share the programmed state (the one
+    /// variation draw taken at prepare time, and the factors derived
+    /// from it), so which worker solves a right-hand side cannot show
+    /// in the output. This is the entry the `amc-serve` dispatcher
+    /// drives when it coalesces concurrent requests against one cached
+    /// replica into a shared batch.
     ///
     /// # Errors
     ///

@@ -38,7 +38,9 @@
 use std::any::Any;
 
 use amc_linalg::Matrix;
-use blockamc::engine::{AmcEngine, EngineRegistry, EngineStats, Operand, OperandState};
+use blockamc::engine::{
+    AmcEngine, EngineRegistry, EngineStats, OnceDerived, Operand, OperandState,
+};
 use blockamc::Result;
 
 pub mod kernels;
@@ -57,12 +59,11 @@ pub fn register(registry: &mut EngineRegistry) {
     registry.register(ENGINE_NAME, |_seed| Ok(Box::new(SimdEngine::new())));
 }
 
-/// Operand state of [`SimdEngine`]: the exact matrix with a lazily
-/// built blocked factorization.
+/// Operand state of [`SimdEngine`]: the exact matrix with its blocked
+/// factorization, built on the first INV and shared by every clone.
 #[derive(Debug, Clone)]
 struct SimdOperand {
-    a: Matrix,
-    lu: Option<SimdLu>,
+    array: OnceDerived<Matrix, SimdLu>,
 }
 
 impl OperandState for SimdOperand {
@@ -71,18 +72,14 @@ impl OperandState for SimdOperand {
     }
 
     fn shape(&self) -> (usize, usize) {
-        self.a.shape()
+        self.array.programmed().shape()
     }
 
     fn effective_matrix(&self) -> Matrix {
-        self.a.clone()
+        self.array.programmed().clone()
     }
 
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 }
@@ -109,8 +106,7 @@ impl AmcEngine for SimdEngine {
     fn program(&mut self, a: &Matrix) -> Result<Operand> {
         self.stats.count_program();
         Ok(Operand::new(SimdOperand {
-            a: a.clone(),
-            lu: None,
+            array: OnceDerived::new(a.clone()),
         }))
     }
 
@@ -121,11 +117,8 @@ impl AmcEngine for SimdEngine {
     }
 
     fn inv_into(&mut self, operand: &mut Operand, b: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        let state = operand.expect_state_mut::<SimdOperand>("simd")?;
-        if state.lu.is_none() {
-            state.lu = Some(SimdLu::new(&state.a)?);
-        }
-        let lu = state.lu.as_ref().expect("factorization was just installed");
+        let state = operand.expect_state::<SimdOperand>("simd")?;
+        let lu = state.array.derive_with(SimdLu::new)?;
         out.resize(lu.dim(), 0.0);
         lu.solve_into(b, out)?;
         amc_linalg::vector::neg_in_place(out);
@@ -140,9 +133,12 @@ impl AmcEngine for SimdEngine {
     }
 
     fn mvm_into(&mut self, operand: &mut Operand, x: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        let state = operand.expect_state_mut::<SimdOperand>("simd")?;
-        out.resize(state.a.rows(), 0.0);
-        state.a.matvec_into(x, out)?;
+        let a = operand
+            .expect_state::<SimdOperand>("simd")?
+            .array
+            .programmed();
+        out.resize(a.rows(), 0.0);
+        a.matvec_into(x, out)?;
         amc_linalg::vector::neg_in_place(out);
         self.stats.count_mvm();
         Ok(())
@@ -216,6 +212,29 @@ mod tests {
             assert_eq!(out.len(), 8);
         }
         assert_eq!(out.as_ptr(), base_ptr, "no reallocation across solves");
+    }
+
+    #[test]
+    fn clones_share_the_factorization() {
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let a = generate::diagonally_dominant(40, 1.5, &mut rng).unwrap();
+        let b = generate::random_vector(40, &mut rng);
+        let mut e = SimdEngine::new();
+        let mut original = e.program(&a).unwrap();
+        let mut clone = original.clone();
+        let factorized = |op: &Operand| {
+            let state = op.downcast_ref::<SimdOperand>().unwrap();
+            state.array.derived().is_some()
+        };
+        assert!(!factorized(&original));
+        let x_clone = e.inv(&mut clone, &b).unwrap();
+        assert!(
+            factorized(&original),
+            "clone's INV installs the shared factor"
+        );
+        let x_orig = e.inv(&mut original, &b).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x_orig), bits(&x_clone));
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //!   cached replica (a short cache-lock hold; the solve itself runs
 //!   unlocked), and solves through
 //!   [`SolverReplica::solve_batch_parallel`], which shards the batch
-//!   over an `amc-par` work-stealing pool.
+//!   over an `amc-par` work-stealing pool. The clone shares the cached
+//!   replica's programmed arrays and their LU factors (the
+//!   [`OperandState`] contract), so a cached solver is factorized once,
+//!   by the first request that reaches it, not on every dispatch.
 //! * While a key is **active** (being solved), newly arriving jobs for
 //!   it queue up but the key is not re-enqueued; the worker re-enqueues
 //!   it on release if jobs accumulated. Concurrent requests against a
@@ -31,11 +34,12 @@
 //!
 //! Cache hits and coalescing are invisible in the numbers: a cached
 //! replica carries the one variation draw taken at prepare time, clones
-//! inherit it bitwise, and batch sharding is bit-identical at any
+//! share it, and batch sharding is bit-identical at any
 //! worker count — so a coalesced, cached, sharded solve returns exactly
 //! the bytes a direct [`PreparedSolver::solve`] would have.
 //!
 //! [`Response::Busy`]: crate::wire::Response::Busy
+//! [`OperandState`]: blockamc::engine::OperandState
 //! [`PreparedSolver::solve`]: blockamc::solver::PreparedSolver::solve
 //! [`SolverReplica::solve_batch_parallel`]: blockamc::solver::SolverReplica::solve_batch_parallel
 
