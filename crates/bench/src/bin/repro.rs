@@ -15,7 +15,7 @@ use amc_bench::{
 };
 use amc_linalg::{lu, metrics};
 use blockamc::engine::{CircuitEngine, CircuitEngineConfig};
-use blockamc::solver::{BlockAmcSolver, Stages};
+use blockamc::solver::{BlockAmcSolver, SolverConfig, Stages};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -724,7 +724,6 @@ fn simd(opts: &RunOpts) {
     use amc_scenario::campaigns;
     use amc_scenario::workload::{WorkloadFamily, WorkloadSpec};
     use blockamc::partition::BlockPartition;
-    use blockamc::solver::SolverConfig;
     use std::time::Instant;
 
     banner("SIMD — micro-tiled backend, sparse Schur, parallel prepare");
@@ -1635,28 +1634,21 @@ fn fig8(opts: &RunOpts) {
     let x_ref = lu::solve(&a, &b).expect("reference solve");
 
     println!("(a,b) inner second-stage INV traces, {n}x{n} Wishart:");
-    let mut engine = CircuitEngine::new(config, 3);
-    match blockamc::two_stage::prepare(&mut engine, &a) {
-        Ok(mut prep) => {
-            match blockamc::two_stage::solve(
-                &mut engine,
-                &mut prep,
-                &b,
-                &blockamc::converter::IoConfig::ideal(),
-            ) {
-                Ok(sol) => {
-                    for (block, trace) in &sol.inner_traces {
-                        println!("    inner macro {block}: {} steps executed", trace.len());
-                    }
-                    println!(
-                        "\n(c) final two-stage solution rel. error: {:.3e}",
-                        metrics::relative_error(&x_ref, &sol.x)
-                    );
-                }
-                Err(e) => println!("    two-stage solve failed: {e}"),
+    let two_stage = SolverConfig::builder()
+        .stages(Stages::Two)
+        .capture_trace(true)
+        .build(CircuitEngine::new(config, 3));
+    match two_stage.and_then(|mut solver| solver.prepare(&a)?.solve(&b)) {
+        Ok(report) => {
+            for (block, trace) in &report.inner_traces {
+                println!("    inner macro {block}: {} steps executed", trace.len());
             }
+            println!(
+                "\n(c) final two-stage solution rel. error: {:.3e}",
+                metrics::relative_error(&x_ref, &report.x)
+            );
         }
-        Err(e) => println!("    two-stage prepare failed: {e}"),
+        Err(e) => println!("    two-stage solve failed: {e}"),
     }
 
     let solvers = presets::original_vs_two_stage(config);

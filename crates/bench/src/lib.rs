@@ -11,7 +11,7 @@
 
 use amc_linalg::{generate, lu, metrics, Matrix};
 use blockamc::engine::{CircuitEngine, CircuitEngineConfig};
-use blockamc::solver::{BlockAmcSolver, Stages};
+use blockamc::solver::{BlockAmcSolver, SolverConfig, Stages, StepRecord};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -264,22 +264,21 @@ pub fn step_trace_comparison(
     config: CircuitEngineConfig,
     seed: u64,
 ) -> blockamc::Result<Vec<(String, f64)>> {
-    use blockamc::converter::IoConfig;
-    use blockamc::engine::NumericEngine;
-    use blockamc::one_stage;
+    use blockamc::engine::{AmcEngine, NumericEngine};
 
-    let mut num = NumericEngine::new();
-    let mut num_prep = one_stage::prepare_matrix(&mut num, a)?;
-    let num_sol = one_stage::solve(&mut num, &mut num_prep, b, &IoConfig::ideal())?;
+    fn trace<E: AmcEngine>(engine: E, a: &Matrix, b: &[f64]) -> blockamc::Result<Vec<StepRecord>> {
+        let mut solver = SolverConfig::builder()
+            .stages(Stages::One)
+            .capture_trace(true)
+            .build(engine)?;
+        Ok(solver.solve(a, b)?.trace.unwrap_or_default())
+    }
+    let num = trace(NumericEngine::new(), a, b)?;
+    let cir = trace(CircuitEngine::new(config, seed), a, b)?;
 
-    let mut cir = CircuitEngine::new(config, seed);
-    let mut cir_prep = one_stage::prepare_matrix(&mut cir, a)?;
-    let cir_sol = one_stage::solve(&mut cir, &mut cir_prep, b, &IoConfig::ideal())?;
-
-    Ok(num_sol
-        .trace
+    Ok(num
         .iter()
-        .zip(&cir_sol.trace)
+        .zip(&cir)
         .map(|(nrec, crec)| {
             (
                 nrec.step.to_string(),

@@ -435,30 +435,6 @@ impl Clone for Box<dyn AmcEngine> {
     }
 }
 
-// A programmed operand is the leaf executor of the recursive cascade
-// core: its INV/MVM are the engine primitives themselves.
-impl<E: AmcEngine + ?Sized> crate::multi_stage::InvExec<E> for Operand {
-    fn inv_signed(
-        &mut self,
-        engine: &mut E,
-        b: &[f64],
-        _path: crate::multi_stage::SignalPath<'_>,
-        _log: &mut crate::multi_stage::TraceLog,
-        rec: &mut amc_obs::Recorder,
-    ) -> Result<Vec<f64>> {
-        let span = rec.enter("engine.inv");
-        let out = engine.inv(self, b)?;
-        rec.exit_with(span, &[("n", b.len() as f64)]);
-        Ok(out)
-    }
-}
-
-impl<E: AmcEngine + ?Sized> crate::multi_stage::MvmExec<E> for Operand {
-    fn mvm_signed(&mut self, engine: &mut E, x: &[f64]) -> Result<Vec<f64>> {
-        engine.mvm(self, x)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,6 +18,14 @@ pub enum BlockAmcError {
         /// Provided size.
         got: usize,
     },
+    /// The system matrix holds a NaN or infinite entry (the first one
+    /// in row-major order is reported).
+    NonFinite {
+        /// Row of the offending entry.
+        row: usize,
+        /// Column of the offending entry.
+        col: usize,
+    },
     /// An engine was handed an operand programmed by a different engine
     /// kind (e.g. a numeric operand passed to the circuit engine).
     OperandMismatch {
@@ -57,6 +65,9 @@ impl fmt::Display for BlockAmcError {
             }
             BlockAmcError::ShapeMismatch { op, expected, got } => {
                 write!(f, "shape mismatch in {op}: expected {expected}, got {got}")
+            }
+            BlockAmcError::NonFinite { row, col } => {
+                write!(f, "matrix entry ({row}, {col}) is not finite")
             }
             BlockAmcError::OperandMismatch { engine } => {
                 write!(
@@ -122,6 +133,9 @@ mod tests {
         }
         .to_string()
         .contains("solve"));
+        assert!(BlockAmcError::NonFinite { row: 3, col: 5 }
+            .to_string()
+            .contains("(3, 5)"));
         assert!(BlockAmcError::OperandMismatch { engine: "numeric" }
             .to_string()
             .contains("numeric"));

@@ -139,16 +139,11 @@ pub fn yield_analysis_parallel(
     let signal = solver.signal_plan();
     let run_trial = |t: usize| -> Option<f64> {
         let mut engine = engine.build(engine_seed.wrapping_add(t as u64)).ok()?;
-        let mut tree = multi_stage::prepare_plan(&mut engine, a, &plan).ok()?;
-        let (x, _) = multi_stage::solve_with_signal(
-            &mut engine,
-            &mut tree,
-            b,
-            signal,
-            false,
-            &mut amc_obs::Recorder::disabled(),
-        )
-        .ok()?;
+        let mut rec = amc_obs::Recorder::disabled();
+        let mut tree = multi_stage::prepare_plan_recorded(&mut engine, a, &plan, &mut rec).ok()?;
+        let (x, _) =
+            multi_stage::solve_with_signal(&mut engine, &mut tree, b, signal, false, &mut rec)
+                .ok()?;
         let err = metrics::relative_error(&x_ref, &x);
         err.is_finite().then_some(err)
     };

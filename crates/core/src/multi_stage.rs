@@ -5,53 +5,108 @@
 //! matrices that can be accommodated in memory arrays", and Fig. 8(d)
 //! supports "the scalability of this method towards larger scale INV
 //! problems through deeper partitioning". This module implements that
-//! generalization — and, since the one-stage and two-stage solvers are
-//! just depth-1 and depth-2 instances of the same five-step cascade,
-//! it also hosts the one implementation of that cascade
-//! (`run_cascade`, crate-internal) that [`crate::one_stage`] and
-//! [`crate::two_stage`] delegate to.
+//! generalization — and, since the paper's one-stage and two-stage
+//! solvers are just depth-1 and depth-2 instances of the same five-step
+//! cascade, it hosts the one implementation of that cascade
+//! (`run_cascade`, module-private) behind every
+//! [`crate::solver::Stages`] preset.
 //!
-//! The cascade is written once over two small traits:
+//! Given the partition `A = [[A1, A2], [A3, A4]]`, the pre-computed
+//! Schur complement `A4s`, and `b = [f; g]`, one cascade executes
+//! (Fig. 2 / Algorithm 1), tracking the AMC minus signs exactly as
+//! hardware produces them:
 //!
-//! * `InvExec` — "something that can run a (signed) INV": a programmed
-//!   array ([`Operand`]), a prepared one-stage macro, or a deeper
-//!   partition-tree node;
-//! * `MvmExec` — "something that can run a (signed) MVM": a whole
-//!   array or a quadrant-tiled one ([`crate::two_stage::TiledMvm`]).
+//! | Step | Operation             | Output                              |
+//! |------|-----------------------|-------------------------------------|
+//! | 1    | INV(A1, f)            | `−y_t = −A1⁻¹·f`                    |
+//! | 2    | MVM(A3, −y_t)         | `g_t = A3·y_t`                      |
+//! | 3    | INV(A4s, g_t − g)     | `z = A4s⁻¹·(g − g_t)` (bottom of x) |
+//! | 4    | MVM(A2, z)            | `−f_t = −A2·z`                      |
+//! | 5    | INV(A1, f − f_t)      | `−y` (upper of x, negated)          |
 //!
-//! What distinguishes the solvers is only their *signal path*, captured
-//! per cascade level by [`LevelIo`] and assembled into a per-level
-//! [`SignalPlan`]:
+//! Block `A1` is used in steps 1 and 5 **on the same programmed array**
+//! (its variation draw is shared), matching the paper's macro in which
+//! "the A1 array should be used twice". The `A1`/`A4s` INVs run on a
+//! partition-tree node (a single array or a deeper cascade); the
+//! `A2`/`A3` MVMs run on an MVM block (a single array or a
+//! quadrant-tiled one).
 //!
-//! | Policy  | Entry   | Between steps        | Exit   | Used by |
-//! |---------|---------|----------------------|--------|---------|
-//! | `Macro` | DAC     | S&H cascades         | ADC    | [`crate::one_stage`] (and the inner macros of two-stage) |
-//! | `Bus`   | DAC     | ADC→DAC bus hops     | ADC    | [`crate::two_stage`] first stage |
-//! | `Pure`  | —       | — (ideal analog)     | —      | this module's tree recursion (default) |
+//! What distinguishes the architectures is only their *signal path*,
+//! captured per cascade level by [`LevelIo`] and assembled into a
+//! per-level [`SignalPlan`]:
+//!
+//! | Policy  | Entry   | Between steps        | Exit   |
+//! |---------|---------|----------------------|--------|
+//! | `Macro` | DAC     | S&H cascades         | ADC    |
+//! | `Bus`   | DAC     | ADC→DAC bus hops     | ADC    |
+//! | `Pure`  | —       | — (ideal analog)     | —      |
 //!
 //! MVM blocks are executed directly on engine arrays at their natural
 //! block size by default (forward partitioning of MVM is routine —
 //! refs. \[13\]–\[15\] of the paper — and orthogonal to the INV
 //! recursion studied here); [`PartitionPlan::paper`] reproduces the
 //! paper's two-stage layout instead, tiling them into quadrants.
+//!
+//! Trees are prepared and solved through the facade
+//! ([`crate::solver::BlockAmcSolver::prepare`]); this module exports the
+//! plan, signal-path, and trace types the facade is configured with.
 
 use amc_linalg::{vector, Matrix};
 use amc_obs::Recorder;
 
 use crate::converter::IoConfig;
 use crate::engine::{AmcEngine, Operand};
-use crate::one_stage::{StepId, StepRecord};
 use crate::partition::BlockPartition;
 use crate::split_search::{self, SplitSearchOptions};
 use crate::{BlockAmcError, Result};
 
 // ---------------------------------------------------------------------
-// The execution core shared by all three solvers.
+// The execution core shared by every architecture.
 // ---------------------------------------------------------------------
+
+/// Identifies one of the five algorithm steps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StepId {
+    /// Step 1: INV with `A1` and `f`.
+    Inv1,
+    /// Step 2: MVM with `A3`.
+    Mvm2,
+    /// Step 3: INV with `A4s`.
+    Inv3,
+    /// Step 4: MVM with `A2`.
+    Mvm4,
+    /// Step 5: INV with `A1` again.
+    Inv5,
+}
+
+impl std::fmt::Display for StepId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let s = match self {
+            StepId::Inv1 => "step 1 (INV A1)",
+            StepId::Mvm2 => "step 2 (MVM A3)",
+            StepId::Inv3 => "step 3 (INV A4s)",
+            StepId::Mvm4 => "step 4 (MVM A2)",
+            StepId::Inv5 => "step 5 (INV A1)",
+        };
+        f.write_str(s)
+    }
+}
+
+/// Input/output record of one executed step (Fig. 6(a) plots exactly
+/// these signals against their numerical references).
+#[derive(Debug, Clone, PartialEq)]
+pub struct StepRecord {
+    /// Which step this record describes.
+    pub step: StepId,
+    /// The analog input vector fed to the array.
+    pub input: Vec<f64>,
+    /// The analog output vector produced.
+    pub output: Vec<f64>,
+}
 
 /// Signal-path policy of one cascade level (see the module table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StageIo {
+enum StageIo {
     /// Ideal analog recursion: no converters, no hops.
     Pure,
     /// One reconfigurable macro: DAC at entry, S&H between steps, ADC at
@@ -97,7 +152,7 @@ impl LevelIo {
 
     /// Splits into the internal cascade policy and the level's
     /// converter configuration (ideal for `Pure`).
-    pub(crate) fn stage_io(&self) -> (StageIo, IoConfig) {
+    fn stage_io(&self) -> (StageIo, IoConfig) {
         match self {
             LevelIo::Pure => (StageIo::Pure, IoConfig::ideal()),
             LevelIo::Macro(io) => (StageIo::Macro, *io),
@@ -196,24 +251,22 @@ impl SignalPlan {
         Ok(())
     }
 
-    pub(crate) fn path(&self) -> SignalPath<'_> {
-        SignalPath::new(&self.levels)
+    fn path(&self) -> SignalPath<'_> {
+        SignalPath {
+            levels: &self.levels,
+        }
     }
 }
 
 /// A borrowed suffix of a [`SignalPlan`], threaded down the cascade:
 /// the head entry is the current level's policy, the tail is what the
-/// `A1`/`A4s` sub-executors receive.
+/// `A1`/`A4s` sub-trees receive.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SignalPath<'a> {
+struct SignalPath<'a> {
     levels: &'a [LevelIo],
 }
 
 impl<'a> SignalPath<'a> {
-    pub(crate) fn new(levels: &'a [LevelIo]) -> Self {
-        SignalPath { levels }
-    }
-
     fn head(&self) -> LevelIo {
         self.levels.first().copied().unwrap_or(LevelIo::Pure)
     }
@@ -251,11 +304,7 @@ impl TraceLog {
         }
     }
 
-    pub(crate) fn enabled() -> Self {
-        Self::new(true)
-    }
-
-    pub(crate) fn disabled() -> Self {
+    fn disabled() -> Self {
         Self::new(false)
     }
 
@@ -277,59 +326,30 @@ impl TraceLog {
     }
 }
 
-/// An executor of a signed INV: computes `−block⁻¹·b` (the AMC sign
-/// convention, so executors compose exactly like cascaded INV circuits).
-///
-/// Implemented by [`Operand`] (a single array), by
-/// [`crate::one_stage::PreparedOneStage`] (a whole macro), and by
-/// [`Node`] (a partition subtree).
-pub(crate) trait InvExec<E: AmcEngine + ?Sized> {
-    #[allow(clippy::too_many_arguments)] // signal path + signal log + span recorder
-    fn inv_signed(
-        &mut self,
-        engine: &mut E,
-        b: &[f64],
-        path: SignalPath<'_>,
-        log: &mut TraceLog,
-        rec: &mut Recorder,
-    ) -> Result<Vec<f64>>;
-}
-
-/// An executor of a signed MVM: computes `−M·x`.
-///
-/// Implemented by [`Operand`] and [`crate::two_stage::TiledMvm`].
-pub(crate) trait MvmExec<E: AmcEngine + ?Sized> {
-    fn mvm_signed(&mut self, engine: &mut E, x: &[f64]) -> Result<Vec<f64>>;
-}
-
 /// Executes the paper's five-step algorithm (Fig. 2 / Algorithm 1) once,
-/// for every solver in the crate. Returns `−x` so that cascades compose.
+/// for every architecture in the crate. Returns `−x` so that cascades
+/// compose.
 ///
 /// The head of `path` is this cascade's signal-path policy; the tail is
-/// handed to the `A1`/`A4s` executors, so a multi-level [`SignalPlan`]
+/// handed to the `A1`/`A4s` sub-trees, so a multi-level [`SignalPlan`]
 /// descends the tree one entry per stage.
 ///
 /// Zero blocks (`a2`/`a3` = `None`) skip their MVM step entirely:
 /// `g_t`/`f_t` are zero and nothing is recorded, exactly as the hardware
 /// would leave those arrays unprogrammed.
 #[allow(clippy::too_many_arguments)] // the five-step dataflow really has this arity
-pub(crate) fn run_cascade<E, I, M>(
+fn run_cascade<E: AmcEngine + ?Sized>(
     engine: &mut E,
     split: usize,
-    a1: &mut I,
-    a4s: &mut I,
-    a2: Option<&mut M>,
-    a3: Option<&mut M>,
+    a1: &mut Node,
+    a4s: &mut Node,
+    a2: Option<&mut MvmBlock>,
+    a3: Option<&mut MvmBlock>,
     b: &[f64],
     path: SignalPath<'_>,
     log: &mut TraceLog,
     rec: &mut Recorder,
-) -> Result<Vec<f64>>
-where
-    E: AmcEngine + ?Sized,
-    I: InvExec<E>,
-    M: MvmExec<E>,
-{
+) -> Result<Vec<f64>> {
     let (policy, io) = path.head().stage_io();
     let io = &io;
     let inner = path.tail();
@@ -444,7 +464,7 @@ where
     rec.exit(span);
 
     // Step 5: INV(A1, f − f_t) -> −y (the negated upper half of x),
-    // reusing the very same A1 executor as step 1 — the paper's "the A1
+    // reusing the very same A1 sub-tree as step 1 — the paper's "the A1
     // array should be used twice", so both steps see one variation draw.
     // −f_t is owned and dead after this step; its buffer carries the sum.
     let mut input5 = match policy {
@@ -492,7 +512,7 @@ where
 
 /// An MVM block of a partition-tree node.
 #[derive(Debug, Clone)]
-pub(crate) enum MvmBlock {
+enum MvmBlock {
     /// The whole block programmed on one array.
     Whole(Operand),
     /// The block tiled into quadrants (the paper's layout); boxed to
@@ -500,16 +520,14 @@ pub(crate) enum MvmBlock {
     Tiled(Box<QuadMvm>),
 }
 
-/// A quadrant decomposition of an MVM block whose tiles recurse while
-/// tiling levels remain — the multi-level generalization of the
-/// one-level [`crate::two_stage::TiledMvm`], so that a depth-`d` paper layout shrinks
-/// MVM arrays to the same size as its INV leaves. One level of
-/// quadrants over whole-array tiles is executed identically to
-/// [`crate::two_stage::TiledMvm`] (same quadrant order, zero-tile skipping, and partial
-/// sums), which is what makes the two-stage wrapper bit-equivalent to
-/// `PartitionPlan::paper(2)`.
+/// A quadrant decomposition of an MVM block (the "divide and recover"
+/// scheme the paper cites for forward operations) whose tiles recurse
+/// while tiling levels remain, so that a depth-`d` paper layout shrinks
+/// MVM arrays to the same size as its INV leaves. Zero quadrants are
+/// not programmed, and each output half is the sum of its two
+/// quadrants' partial MVMs.
 #[derive(Debug, Clone)]
-pub(crate) struct QuadMvm {
+struct QuadMvm {
     rows: usize,
     cols: usize,
     row_split: usize,
@@ -554,11 +572,11 @@ impl QuadMvm {
         let (xt, xb) = (&x[..self.col_split], &x[self.col_split..]);
         let mut top = vec![0.0; self.row_split];
         let mut bottom = vec![0.0; self.rows - self.row_split];
-        // Summing the tiles' signed outputs preserves the AMC sign,
-        // exactly as TiledMvm::mvm. One scratch buffer serves all four
-        // quadrants (whole-array tiles write into it via the engine's
-        // buffer-reusing `mvm_into`), so a quadrant level costs one
-        // allocation instead of one per non-zero tile.
+        // Summing the tiles' signed outputs preserves the AMC sign. One
+        // scratch buffer serves all four quadrants (whole-array tiles
+        // write into it via the engine's buffer-reusing `mvm_into`), so
+        // a quadrant level costs one allocation instead of one per
+        // non-zero tile.
         let mut scratch = Vec::new();
         let accumulate = |engine: &mut E,
                           tile: Option<&mut MvmBlock>,
@@ -593,16 +611,15 @@ impl QuadMvm {
     }
 }
 
-impl<E: AmcEngine + ?Sized> MvmExec<E> for MvmBlock {
-    fn mvm_signed(&mut self, engine: &mut E, x: &[f64]) -> Result<Vec<f64>> {
+impl MvmBlock {
+    /// Signed MVM: computes `−M·x`.
+    fn mvm_signed<E: AmcEngine + ?Sized>(&mut self, engine: &mut E, x: &[f64]) -> Result<Vec<f64>> {
         match self {
             MvmBlock::Whole(op) => engine.mvm(op, x),
             MvmBlock::Tiled(t) => t.mvm(engine, x),
         }
     }
-}
 
-impl MvmBlock {
     fn max_array_dim(&self) -> usize {
         match self {
             MvmBlock::Whole(op) => op.shape().0.max(op.shape().1),
@@ -629,8 +646,10 @@ enum Node {
     },
 }
 
-impl<E: AmcEngine + ?Sized> InvExec<E> for Node {
-    fn inv_signed(
+impl Node {
+    /// Signed INV: computes `−block⁻¹·b` (the AMC sign convention, so
+    /// sub-trees compose exactly like cascaded INV circuits).
+    fn inv_signed<E: AmcEngine + ?Sized>(
         &mut self,
         engine: &mut E,
         b: &[f64],
@@ -694,7 +713,8 @@ pub enum SplitRule {
 
 impl PartitionPlan {
     /// Natural-size MVM blocks and midpoint splits at the given depth —
-    /// the layout the plain [`prepare`] entry point uses.
+    /// the layout of [`crate::solver::Stages::One`] and
+    /// [`crate::solver::Stages::Multi`].
     pub fn depth(depth: usize) -> Self {
         PartitionPlan {
             depth,
@@ -705,7 +725,7 @@ impl PartitionPlan {
 
     /// The paper's macro layout at the given depth: MVM blocks tiled
     /// into quadrants. `PartitionPlan::paper(2)` is the two-stage
-    /// solver's exact array inventory.
+    /// solver's exact array inventory ([`crate::solver::Stages::Two`]).
     pub fn paper(depth: usize) -> Self {
         PartitionPlan {
             depth,
@@ -723,10 +743,10 @@ impl PartitionPlan {
 
 /// A matrix prepared for multi-stage BlockAMC solving.
 #[derive(Debug, Clone)]
-pub struct PreparedMultiStage {
+pub(crate) struct PreparedMultiStage {
     root: Node,
     n: usize,
-    plan: PartitionPlan,
+    depth: usize,
 }
 
 impl PreparedMultiStage {
@@ -738,12 +758,7 @@ impl PreparedMultiStage {
     /// Partitioning depth (0 = single array, 1 = one-stage, 2 = two-stage
     /// INV recursion, …).
     pub fn depth(&self) -> usize {
-        self.plan.depth
-    }
-
-    /// The plan this tree was built with.
-    pub fn plan(&self) -> PartitionPlan {
-        self.plan
+        self.depth
     }
 
     /// Visits every programmed operand in **canonical program order** —
@@ -909,9 +924,9 @@ fn prepare_node<E: AmcEngine + ?Sized>(
     let span = rec.enter("prepare.schur");
     let a4s = p.schur_complement()?;
     rec.exit_with(span, &[("n", a4s.rows() as f64)]);
-    // Programming order mirrors one_stage::prepare (A1, A2, A3, A4s) so
-    // a depth-1 tree consumes the engine's variation stream identically
-    // to the one-stage macro — see tests/solver_equivalence.rs.
+    // Programming order is canonical (A1, A2, A3, A4s): the engine's
+    // variation stream is consumed in this order by every prepare path,
+    // which the golden pins in tests/solver_equivalence.rs hold fixed.
     let a1 = prepare_node(engine, &p.a1, depth - 1, plan, rec)?;
     // In the paper layout, MVM blocks tile down to the same size as the
     // INV leaves below them: one quadrant level per remaining INV split
@@ -932,36 +947,11 @@ fn prepare_node<E: AmcEngine + ?Sized>(
     })
 }
 
-/// Partitions `a` according to `plan` and programs all arrays.
-///
-/// # Errors
-///
-/// Partitioning, Schur, and programming failures. `plan.depth` may
-/// exceed `log2(n)`; recursion stops early at 1×1 blocks.
-pub fn prepare_plan<E: AmcEngine + ?Sized>(
-    engine: &mut E,
-    a: &Matrix,
-    plan: &PartitionPlan,
-) -> Result<PreparedMultiStage> {
-    prepare_plan_recorded(engine, a, plan, &mut Recorder::disabled())
-}
-
-/// [`prepare_plan`] with span tracing: per-level partition / Schur /
-/// program-arrays spans are recorded on `rec` (pass
-/// [`Recorder::disabled`] for the zero-cost no-op).
-///
-/// Instrumentation is strictly read-only: the prepared tree is
-/// bit-identical to [`prepare_plan`]'s regardless of the recorder.
-///
-/// # Errors
-///
-/// Same conditions as [`prepare_plan`].
-pub fn prepare_plan_recorded<E: AmcEngine + ?Sized>(
-    engine: &mut E,
-    a: &Matrix,
-    plan: &PartitionPlan,
-    rec: &mut Recorder,
-) -> Result<PreparedMultiStage> {
+/// Rejects a system matrix no partition tree can be built from: a
+/// non-square shape, or a NaN/±Inf entry (reported at its first
+/// row-major position), which would otherwise surface as a bogus
+/// singular pivot or propagate silently into `x`.
+fn check_system_matrix(a: &Matrix) -> Result<()> {
     if !a.is_square() {
         return Err(BlockAmcError::ShapeMismatch {
             op: "multi_stage prepare",
@@ -969,6 +959,34 @@ pub fn prepare_plan_recorded<E: AmcEngine + ?Sized>(
             got: a.cols(),
         });
     }
+    match a.as_slice().iter().position(|v| !v.is_finite()) {
+        Some(k) => Err(BlockAmcError::NonFinite {
+            row: k / a.cols(),
+            col: k % a.cols(),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Partitions `a` according to `plan` and programs all arrays,
+/// recording per-level partition / Schur / program-arrays spans on
+/// `rec` (pass [`Recorder::disabled`] for the zero-cost no-op).
+///
+/// Instrumentation is strictly read-only: the prepared tree is
+/// bit-identical regardless of the recorder.
+///
+/// # Errors
+///
+/// Non-square or non-finite `a`; partitioning, Schur, and programming
+/// failures. `plan.depth` may exceed `log2(n)`; recursion stops early
+/// at 1×1 blocks.
+pub(crate) fn prepare_plan_recorded<E: AmcEngine + ?Sized>(
+    engine: &mut E,
+    a: &Matrix,
+    plan: &PartitionPlan,
+    rec: &mut Recorder,
+) -> Result<PreparedMultiStage> {
+    check_system_matrix(a)?;
     let span = rec.enter("prepare");
     let root = prepare_node(engine, a, plan.depth, plan, rec)?;
     rec.exit_with(
@@ -978,22 +996,8 @@ pub fn prepare_plan_recorded<E: AmcEngine + ?Sized>(
     Ok(PreparedMultiStage {
         n: a.rows(),
         root,
-        plan: *plan,
+        depth: plan.depth,
     })
-}
-
-/// Partitions `a` recursively to `depth` and programs all leaves
-/// (midpoint splits, natural-size MVM blocks).
-///
-/// # Errors
-///
-/// Same conditions as [`prepare_plan`].
-pub fn prepare<E: AmcEngine + ?Sized>(
-    engine: &mut E,
-    a: &Matrix,
-    depth: usize,
-) -> Result<PreparedMultiStage> {
-    prepare_plan(engine, a, &PartitionPlan::depth(depth))
 }
 
 // ---------------------------------------------------------------------
@@ -1160,50 +1164,33 @@ fn program_tree<E: AmcEngine + ?Sized>(
     }
 }
 
-/// [`prepare_plan`] with the partition/Schur work sharded over `workers`
-/// threads (`amc-par` work-stealing pool; `workers == 1` runs inline).
+/// [`prepare_plan_recorded`] with the partition/Schur work sharded
+/// over `workers` threads (`amc-par` work-stealing pool; `workers == 1`
+/// runs inline).
 ///
 /// Array programming itself stays serial and in canonical order, so the
-/// result is **bit-identical** to [`prepare_plan`] at any worker count —
-/// including engines whose variation stream depends on program-call
-/// order. The parallel win comes from the O(n³) Schur complements at
-/// each level, which dominate prepare for depth ≥ 3 trees.
+/// result is **bit-identical** to [`prepare_plan_recorded`] at any
+/// worker count — including engines whose variation stream depends on
+/// program-call order. The parallel win comes from the O(n³) Schur
+/// complements at each level, which dominate prepare for depth ≥ 3
+/// trees.
+///
+/// Spans: one coarse `prepare.plan` span over the sharded
+/// partition/Schur phase (the recorder is single-threaded, so per-node
+/// spans are not recorded inside the worker pool) and per-node
+/// `prepare.program` spans over the serial programming phase.
 ///
 /// # Errors
 ///
-/// Same conditions as [`prepare_plan`].
-pub fn prepare_plan_workers<E: AmcEngine + ?Sized>(
-    engine: &mut E,
-    a: &Matrix,
-    plan: &PartitionPlan,
-    workers: usize,
-) -> Result<PreparedMultiStage> {
-    prepare_plan_workers_recorded(engine, a, plan, workers, &mut Recorder::disabled())
-}
-
-/// [`prepare_plan_workers`] with span tracing: one coarse
-/// `prepare.plan` span over the sharded partition/Schur phase (the
-/// recorder is single-threaded, so per-node spans are not recorded
-/// inside the worker pool) and per-node `prepare.program` spans over
-/// the serial programming phase.
-///
-/// # Errors
-///
-/// Same conditions as [`prepare_plan`].
-pub fn prepare_plan_workers_recorded<E: AmcEngine + ?Sized>(
+/// Same conditions as [`prepare_plan_recorded`].
+pub(crate) fn prepare_plan_workers_recorded<E: AmcEngine + ?Sized>(
     engine: &mut E,
     a: &Matrix,
     plan: &PartitionPlan,
     workers: usize,
     rec: &mut Recorder,
 ) -> Result<PreparedMultiStage> {
-    if !a.is_square() {
-        return Err(BlockAmcError::ShapeMismatch {
-            op: "multi_stage prepare",
-            expected: a.rows(),
-            got: a.cols(),
-        });
-    }
+    check_system_matrix(a)?;
     let span = rec.enter("prepare");
     let plan_span = rec.enter("prepare.plan");
     let tree = plan_tree(a, plan, workers)?;
@@ -1216,30 +1203,8 @@ pub fn prepare_plan_workers_recorded<E: AmcEngine + ?Sized>(
     Ok(PreparedMultiStage {
         n: a.rows(),
         root,
-        plan: *plan,
+        depth: plan.depth,
     })
-}
-
-/// Solves `A·x = b` with the prepared partition tree and a fully analog
-/// signal path (every level [`LevelIo::Pure`]).
-///
-/// # Errors
-///
-/// Shape mismatches and engine failures.
-pub fn solve<E: AmcEngine + ?Sized>(
-    engine: &mut E,
-    prepared: &mut PreparedMultiStage,
-    b: &[f64],
-) -> Result<Vec<f64>> {
-    let (x, _) = solve_with_signal(
-        engine,
-        prepared,
-        b,
-        &SignalPlan::pure(),
-        false,
-        &mut Recorder::disabled(),
-    )?;
-    Ok(x)
 }
 
 /// Solves `A·x = b` with a per-level [`SignalPlan`], returning the
@@ -1265,11 +1230,7 @@ pub(crate) fn solve_with_signal<E: AmcEngine + ?Sized>(
         });
     }
     signal.validate()?;
-    let mut log = if capture {
-        TraceLog::enabled()
-    } else {
-        TraceLog::disabled()
-    };
+    let mut log = TraceLog::new(capture);
     let path = signal.path();
     let mut x = match (&mut prepared.root, signal.level(0)) {
         // A leaf root has no cascade to apply the boundary converters,
@@ -1299,6 +1260,43 @@ mod tests {
         let a = generate::wishart_default(n, &mut rng).unwrap();
         let b = generate::random_vector(n, &mut rng);
         (a, b)
+    }
+
+    fn prepare_plan<E: AmcEngine + ?Sized>(
+        engine: &mut E,
+        a: &Matrix,
+        plan: &PartitionPlan,
+    ) -> Result<PreparedMultiStage> {
+        prepare_plan_recorded(engine, a, plan, &mut Recorder::disabled())
+    }
+
+    fn prepare<E: AmcEngine + ?Sized>(
+        engine: &mut E,
+        a: &Matrix,
+        depth: usize,
+    ) -> Result<PreparedMultiStage> {
+        prepare_plan(engine, a, &PartitionPlan::depth(depth))
+    }
+
+    fn prepare_plan_workers<E: AmcEngine + ?Sized>(
+        engine: &mut E,
+        a: &Matrix,
+        plan: &PartitionPlan,
+        workers: usize,
+    ) -> Result<PreparedMultiStage> {
+        prepare_plan_workers_recorded(engine, a, plan, workers, &mut Recorder::disabled())
+    }
+
+    /// Solves with a fully analog signal path (every level `Pure`).
+    fn solve<E: AmcEngine + ?Sized>(
+        engine: &mut E,
+        prepared: &mut PreparedMultiStage,
+        b: &[f64],
+    ) -> Result<Vec<f64>> {
+        let pure = SignalPlan::pure();
+        let (x, _) =
+            solve_with_signal(engine, prepared, b, &pure, false, &mut Recorder::disabled())?;
+        Ok(x)
     }
 
     #[test]
@@ -1374,6 +1372,76 @@ mod tests {
                 "depth {depth} diverged"
             );
         }
+    }
+
+    #[test]
+    fn paper_plan_handles_odd_and_non_power_of_two_sizes() {
+        for (n, seed) in [(9usize, 2u64), (12, 3), (15, 4)] {
+            let (a, b) = workload(n, seed);
+            let mut engine = NumericEngine::new();
+            let mut prep = prepare_plan(&mut engine, &a, &PartitionPlan::paper(2)).unwrap();
+            let x = solve(&mut engine, &mut prep, &b).unwrap();
+            let x_ref = lu::solve(&a, &b).unwrap();
+            assert!(metrics::relative_error(&x_ref, &x) < 1e-8, "n={n} diverged");
+        }
+    }
+
+    #[test]
+    fn arbitrary_splits_solve() {
+        // The plans split at ⌈n/2⌉ or a searched index; the cascade must
+        // be exact at any split, including the 1-row extremes.
+        let (a, b) = workload(10, 3);
+        let x_ref = lu::solve(&a, &b).unwrap();
+        for split in [1usize, 3, 7, 9] {
+            let mut engine = NumericEngine::new();
+            let p = BlockPartition::new(&a, split).unwrap();
+            let a4s = p.schur_complement().unwrap();
+            let mut leaf = |m: &Matrix| Box::new(Node::Leaf(engine.program(m).unwrap()));
+            let (a1, a4s) = (leaf(&p.a1), leaf(&a4s));
+            let root = Node::Split {
+                split,
+                a1,
+                a4s,
+                a2: prepare_mvm_tile(&mut engine, &p.a2, 0).unwrap(),
+                a3: prepare_mvm_tile(&mut engine, &p.a3, 0).unwrap(),
+            };
+            let mut prep = PreparedMultiStage {
+                root,
+                n: 10,
+                depth: 1,
+            };
+            let x = solve(&mut engine, &mut prep, &b).unwrap();
+            assert!(
+                vector::approx_eq(&x, &x_ref, 1e-8),
+                "split {split} diverged"
+            );
+        }
+    }
+
+    #[test]
+    fn quad_mvm_matches_direct_product() {
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let m = generate::gaussian(6, 5, &mut rng);
+        let x = generate::random_vector(5, &mut rng);
+        let mut engine = NumericEngine::new();
+        let mut tiled = QuadMvm::prepare(&mut engine, &m, 1).unwrap();
+        let got = tiled.mvm(&mut engine, &x).unwrap();
+        let expect = vector::neg(&m.matvec(&x).unwrap());
+        assert!(vector::approx_eq(&got, &expect, 1e-12));
+        assert_eq!(tiled.tiles.iter().flatten().count(), 4);
+    }
+
+    #[test]
+    fn quad_mvm_skips_zero_quadrants() {
+        let mut m = Matrix::zeros(4, 4);
+        m.set_block(0, 0, &Matrix::identity(2)).unwrap();
+        let mut engine = NumericEngine::new();
+        let mut tiled = QuadMvm::prepare(&mut engine, &m, 1).unwrap();
+        assert_eq!(tiled.tiles.iter().flatten().count(), 1);
+        assert_eq!(engine.stats().program_ops, 1);
+        let got = tiled.mvm(&mut engine, &[1.0, 2.0, 3.0, 4.0]).unwrap();
+        assert!(vector::approx_eq(&got, &[-1.0, -2.0, 0.0, 0.0], 1e-12));
+        assert!(tiled.mvm(&mut engine, &[1.0]).is_err());
     }
 
     #[test]

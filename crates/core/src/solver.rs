@@ -30,10 +30,9 @@ use amc_obs::Recorder;
 use crate::converter::IoConfig;
 use crate::engine::{AmcEngine, EngineStats};
 use crate::multi_stage::{self, PreparedMultiStage};
-use crate::one_stage::StepRecord;
 use crate::{BlockAmcError, Result};
 
-pub use crate::multi_stage::{LevelIo, PartitionPlan, SignalPlan, SplitRule};
+pub use crate::multi_stage::{LevelIo, PartitionPlan, SignalPlan, SplitRule, StepId, StepRecord};
 pub use crate::split_search::SplitSearchOptions;
 
 /// Solver architecture selection.
@@ -177,10 +176,9 @@ impl SolverConfig {
         }
     }
 
-    /// The partition layout this configuration programs: the legacy
-    /// module layouts per architecture (natural-size MVM blocks for
-    /// `Original`/`One`/`Multi`, the paper's quadrant tiling for `Two`),
-    /// with the configured split rule.
+    /// The partition layout this configuration programs: natural-size
+    /// MVM blocks for `Original`/`One`/`Multi`, the paper's quadrant
+    /// tiling for `Two`, with the configured split rule.
     pub fn partition_plan(&self) -> PartitionPlan {
         let base = match self.stages {
             Stages::Original => PartitionPlan::depth(0),
@@ -526,7 +524,8 @@ impl<E: AmcEngine> BlockAmcSolver<E> {
     /// # Errors
     ///
     /// Configuration validation ([`SolverConfig::validate_for_size`]),
-    /// shape, partitioning/Schur, and programming failures.
+    /// shape, [`BlockAmcError::NonFinite`] for a NaN/±Inf entry of `a`,
+    /// partitioning/Schur, and programming failures.
     pub fn prepare(&mut self, a: &Matrix) -> Result<PreparedSolver<'_, E>> {
         if !a.is_square() {
             return Err(BlockAmcError::ShapeMismatch {
@@ -548,8 +547,8 @@ impl<E: AmcEngine> BlockAmcSolver<E> {
     }
 
     /// [`prepare`](Self::prepare) with the partition/Schur work sharded
-    /// over `workers` threads (see
-    /// [`multi_stage::prepare_plan_workers`]). Bit-identical to
+    /// over `workers` threads (the `amc-par` work-stealing pool;
+    /// `workers == 1` runs inline). Bit-identical to
     /// [`prepare`](Self::prepare) at any worker count; array programming
     /// stays serial and in canonical order.
     ///
@@ -981,6 +980,40 @@ mod tests {
                 .collect::<Vec<_>>(),
             ["A4s", "A1"]
         );
+    }
+
+    #[test]
+    fn zero_off_diagonal_blocks_skip_their_mvm_steps() {
+        let (a1, a4) = (
+            Matrix::from_diag(&[2.0, 3.0]),
+            Matrix::from_diag(&[4.0, 5.0]),
+        );
+        let z = Matrix::zeros(2, 2);
+        // Block-diagonal: both MVM steps are skipped and only A1 and A4s
+        // are programmed.
+        let a = Matrix::from_blocks(&a1, &z, &z, &a4).unwrap();
+        let mut solver = BlockAmcSolver::new(NumericEngine::new(), Stages::One);
+        let r = solver.solve(&a, &[2.0, 3.0, 4.0, 5.0]).unwrap();
+        assert_eq!(r.trace.map(|t| t.len()), Some(3));
+        assert_eq!(r.stats_delta.program_ops, 2);
+        assert!(amc_linalg::vector::approx_eq(&r.x, &[1.0; 4], 1e-12));
+    }
+
+    #[test]
+    fn block_triangular_matrix_uses_a4_directly() {
+        // Block lower-triangular (A2 = 0): the Schur complement is A4
+        // itself and step 4 is skipped.
+        let a1 = Matrix::from_diag(&[2.0, 1.0]);
+        let a3 = Matrix::filled(2, 2, 0.25);
+        let a4 = Matrix::from_diag(&[3.0, 1.5]);
+        let z = Matrix::zeros(2, 2);
+        let a = Matrix::from_blocks(&a1, &z, &a3, &a4).unwrap();
+        let b = [1.0, 1.0, 1.0, 1.0];
+        let mut solver = BlockAmcSolver::new(NumericEngine::new(), Stages::One);
+        let r = solver.solve(&a, &b).unwrap();
+        assert_eq!(r.trace.map(|t| t.len()), Some(4));
+        let x_ref = lu::solve(&a, &b).unwrap();
+        assert!(amc_linalg::vector::approx_eq(&r.x, &x_ref, 1e-12));
     }
 
     #[test]

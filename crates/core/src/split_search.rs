@@ -232,17 +232,24 @@ mod tests {
 
     #[test]
     fn chosen_split_actually_solves_well() {
-        use crate::converter::IoConfig;
         use crate::engine::NumericEngine;
+        use crate::multi_stage::SplitRule;
+        use crate::solver::{SolverConfig, Stages};
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let a = generate::wishart_default(12, &mut rng).unwrap();
         let b = generate::random_vector(12, &mut rng);
+        let mut solver = SolverConfig::builder()
+            .stages(Stages::One)
+            .split_rule(SplitRule::Searched(SplitSearchOptions::default()))
+            .capture_trace(true)
+            .build(NumericEngine::new())
+            .unwrap();
+        let r = solver.solve(&a, &b).unwrap();
+        // The root cascade ran at the searched split: step 1 inverts the
+        // `best.split`-sized A1 block.
         let best = best_split(&a, &SplitSearchOptions::default()).unwrap();
-        let p = BlockPartition::new(&a, best.split).unwrap();
-        let mut engine = NumericEngine::new();
-        let mut prep = crate::one_stage::prepare(&mut engine, &p).unwrap();
-        let sol = crate::one_stage::solve(&mut engine, &mut prep, &b, &IoConfig::ideal()).unwrap();
+        assert_eq!(r.trace.unwrap()[0].input.len(), best.split);
         let x_ref = amc_linalg::lu::solve(&a, &b).unwrap();
-        assert!(amc_linalg::metrics::relative_error(&x_ref, &sol.x) < 1e-8);
+        assert!(amc_linalg::metrics::relative_error(&x_ref, &r.x) < 1e-8);
     }
 }

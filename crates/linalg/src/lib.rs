@@ -45,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod banded;
 pub mod cholesky;
 pub mod eigen;
 mod error;

@@ -16,8 +16,7 @@
 use amc_linalg::Matrix;
 use blockamc::converter::{Converter, IoConfig};
 use blockamc::engine::NumericEngine;
-use blockamc::one_stage::{self, StepId};
-use blockamc::two_stage;
+use blockamc::solver::{SolveReport, SolverConfig, Stages, StepId};
 
 /// Diagonally dominant matrix and RHS with exactly-representable
 /// entries, generated without any RNG or libm call.
@@ -33,6 +32,19 @@ fn dyadic_workload(n: usize) -> (Matrix, Vec<f64>) {
     (a, b)
 }
 
+/// Solves through the facade with the architecture's paper signal plan
+/// (`[Macro]` for one stage, `[Bus, Macro]` for two) carrying `io`.
+fn solve(stages: Stages, io: IoConfig, a: &Matrix, b: &[f64]) -> SolveReport {
+    let mut solver = SolverConfig::builder()
+        .stages(stages)
+        .io(io)
+        .capture_trace(true)
+        .build(NumericEngine::new())
+        .unwrap();
+    let mut prepared = solver.prepare(a).unwrap();
+    prepared.solve(b).unwrap()
+}
+
 /// Asymmetric converters (8-bit DAC, 6-bit ADC) plus S&H droop, so a
 /// swapped DAC/ADC or a missing hop is visible in the output grid.
 fn nonideal_io() -> IoConfig {
@@ -46,9 +58,8 @@ fn nonideal_io() -> IoConfig {
 #[test]
 fn one_stage_macro_path_is_pinned() {
     let (a, b) = dyadic_workload(8);
-    let mut engine = NumericEngine::new();
-    let mut prep = one_stage::prepare_matrix(&mut engine, &a).unwrap();
-    let sol = one_stage::solve(&mut engine, &mut prep, &b, &nonideal_io()).unwrap();
+    let sol = solve(Stages::One, nonideal_io(), &a, &b);
+    let trace = sol.trace.expect("a macro root records its five steps");
 
     // Solution values land on the 6-bit ADC grid (multiples of 2/63).
     let expected = [
@@ -66,7 +77,7 @@ fn one_stage_macro_path_is_pinned() {
     // The recorded step-1 input is the DAC'd external f: on the 8-bit
     // grid (multiples of 2/255), proving the entry DAC ran exactly once.
     assert_eq!(
-        sol.trace[0].input,
+        trace[0].input,
         [
             -0.5019607843137255,
             0.0,
@@ -75,7 +86,7 @@ fn one_stage_macro_path_is_pinned() {
         ]
     );
     assert_eq!(
-        sol.trace.iter().map(|r| r.step).collect::<Vec<_>>(),
+        trace.iter().map(|r| r.step).collect::<Vec<_>>(),
         [
             StepId::Inv1,
             StepId::Mvm2,
@@ -89,9 +100,7 @@ fn one_stage_macro_path_is_pinned() {
 #[test]
 fn two_stage_bus_path_is_pinned() {
     let (a, b) = dyadic_workload(8);
-    let mut engine = NumericEngine::new();
-    let mut prep = two_stage::prepare(&mut engine, &a).unwrap();
-    let sol = two_stage::solve(&mut engine, &mut prep, &b, &nonideal_io()).unwrap();
+    let sol = solve(Stages::Two, nonideal_io(), &a, &b);
 
     // Differs from the one-stage result in exactly the entries where the
     // extra ADC→DAC bus hops re-quantize intermediates.
@@ -126,13 +135,12 @@ fn droop_alone_attenuates_cascaded_steps_only() {
         adc: None,
         sh_droop: 0.0625,
     };
-    let mut engine = NumericEngine::new();
-    let mut prep = one_stage::prepare_matrix(&mut engine, &a).unwrap();
-    let drooped = one_stage::solve(&mut engine, &mut prep, &b, &io).unwrap();
-    let ideal = one_stage::solve(&mut engine, &mut prep, &b, &IoConfig::ideal()).unwrap();
+    let drooped = solve(Stages::One, io, &a, &b);
+    let ideal = solve(Stages::One, IoConfig::ideal(), &a, &b);
     let err = amc_linalg::metrics::relative_error(&ideal.x, &drooped.x);
     assert!(err > 1e-3, "droop must perturb (err={err})");
     assert!(err < 0.5, "droop stays bounded (err={err})");
     // Step 1 sees no droop (first hop is after it): its input is raw f.
-    assert_eq!(drooped.trace[0].input, b[..4].to_vec());
+    let trace = drooped.trace.expect("a macro root records its five steps");
+    assert_eq!(trace[0].input, b[..4].to_vec());
 }

@@ -11,6 +11,7 @@ use amc_linalg::{generate, lu, metrics, vector, Matrix};
 use blockamc::converter::{Converter, IoConfig};
 use blockamc::engine::{AmcEngine, CircuitEngine, CircuitEngineConfig, NumericEngine};
 use blockamc::solver::{LevelIo, SignalPlan, SolverConfig, Stages};
+use blockamc::BlockAmcError;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -127,34 +128,65 @@ fn nonideal_io() -> IoConfig {
 
 #[test]
 fn facade_one_and_two_stage_match_module_apis_under_nonideal_io() {
-    // The builder facade routes everything through the partition tree;
-    // these pins prove the tree reproduces the legacy module paths
-    // bit-for-bit *including* the quantized/drooped signal paths.
+    // The convenience solve reproduces, bit for bit, the outputs the
+    // retired one-/two-stage module solvers gave on this workload —
+    // *including* the quantized/drooped signal paths (the same pins as
+    // tests/io_signal_paths.rs, reached through prepare-then-solve).
     let (a, b) = dyadic_workload(8);
+    let module_one = [
+        -0.12698412698412698,
+        -0.031746031746031744,
+        0.12698412698412698,
+        -0.06349206349206349,
+        0.06349206349206349,
+        -0.12698412698412698,
+        0.0,
+        0.12698412698412698,
+    ];
+    let module_two = [
+        -0.12698412698412698,
+        0.0,
+        0.12698412698412698,
+        -0.06349206349206349,
+        0.06349206349206349,
+        -0.12698412698412698,
+        0.0,
+        0.09523809523809523,
+    ];
+    for (stages, expected) in [(Stages::One, module_one), (Stages::Two, module_two)] {
+        let mut facade = SolverConfig::builder()
+            .stages(stages)
+            .io(nonideal_io())
+            .build(NumericEngine::new())
+            .unwrap();
+        assert_eq!(facade.solve(&a, &b).unwrap().x, expected, "{stages:?}");
+    }
+}
 
-    let mut engine = NumericEngine::new();
-    let mut prep = blockamc::one_stage::prepare_matrix(&mut engine, &a).unwrap();
-    let module_one = blockamc::one_stage::solve(&mut engine, &mut prep, &b, &nonideal_io())
-        .unwrap()
-        .x;
-    let mut facade_one = SolverConfig::builder()
-        .stages(Stages::One)
-        .io(nonideal_io())
-        .build(NumericEngine::new())
-        .unwrap();
-    assert_eq!(facade_one.solve(&a, &b).unwrap().x, module_one);
-
-    let mut engine = NumericEngine::new();
-    let mut prep = blockamc::two_stage::prepare(&mut engine, &a).unwrap();
-    let module_two = blockamc::two_stage::solve(&mut engine, &mut prep, &b, &nonideal_io())
-        .unwrap()
-        .x;
-    let mut facade_two = SolverConfig::builder()
-        .stages(Stages::Two)
-        .io(nonideal_io())
-        .build(NumericEngine::new())
-        .unwrap();
-    assert_eq!(facade_two.solve(&a, &b).unwrap().x, module_two);
+#[test]
+fn non_finite_matrix_entries_are_a_typed_error() {
+    // A NaN/±Inf in A used to come back as Ok(NaN) or as a bogus
+    // "singular" pivot, depending on where it sat. Corners, the A2/A3
+    // off-diagonal blocks, and the A4 block are all rejected up front,
+    // before any array is programmed.
+    let (a, b) = dyadic_workload(8);
+    for stages in [Stages::One, Stages::Two] {
+        for (row, col) in [(0, 0), (0, 5), (6, 1), (5, 6), (7, 7)] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut m = a.clone();
+                m.set(row, col, bad);
+                let mut solver = SolverConfig::builder()
+                    .stages(stages)
+                    .build(NumericEngine::new())
+                    .unwrap();
+                let expected = BlockAmcError::NonFinite { row, col };
+                assert_eq!(solver.prepare(&m).unwrap_err(), expected);
+                assert_eq!(solver.solve(&m, &b).unwrap_err(), expected);
+                assert_eq!(solver.prepare_with_workers(&m, 2).unwrap_err(), expected);
+                assert_eq!(solver.engine().stats().program_ops, 0);
+            }
+        }
+    }
 }
 
 #[test]

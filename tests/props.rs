@@ -69,10 +69,17 @@ proptest! {
         depth in 0usize..4,
     ) {
         use blockamc::engine::NumericEngine;
+        use blockamc::solver::{SignalPlan, SolverConfig, Stages};
+        // The facade bounds the depth by log2(n); a fully analog path.
+        let depth = depth.min(a.rows().ilog2() as usize);
+        let stages = if depth == 0 { Stages::Original } else { Stages::Multi(depth) };
         let x_ref = lu::solve(&a, &b).unwrap();
-        let mut engine = NumericEngine::new();
-        let mut prep = blockamc::multi_stage::prepare(&mut engine, &a, depth).unwrap();
-        let x = blockamc::multi_stage::solve(&mut engine, &mut prep, &b).unwrap();
+        let mut solver = SolverConfig::builder()
+            .stages(stages)
+            .signal_plan(SignalPlan::pure())
+            .build(NumericEngine::new())
+            .unwrap();
+        let x = solver.solve(&a, &b).unwrap().x;
         prop_assert!(
             amc_linalg::metrics::relative_error(&x_ref, &x) < 1e-6,
             "depth {} diverged", depth

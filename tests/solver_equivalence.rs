@@ -1,39 +1,26 @@
-//! Solver-equivalence properties for the unified execution core.
+//! Bit-level pins of the unified execution core.
 //!
-//! After the refactor, `one_stage` and `two_stage` are thin wrappers
-//! over the recursive cascade in `multi_stage`. These properties pin
-//! the equivalences that refactor promised: with an ideal signal path
-//! and identically-seeded engines, the wrappers produce **bit-identical**
-//! results to the equivalent shallow partition trees —
+//! Every architecture runs through the one recursive cascade in
+//! `multi_stage`, reached through the builder facade
+//! (`SolverConfig::builder()` → `BlockAmcSolver::prepare` →
+//! `PreparedSolver::solve`). These tests hold its output fixed to the
+//! bit:
 //!
-//! * `one_stage` ≡ `multi_stage` at depth 1 (natural-size MVM blocks),
-//! * `two_stage` ≡ `multi_stage` with the paper layout at depth 2
-//!   (quadrant-tiled MVM blocks),
-//!
-//! under both the exact `NumericEngine` and the analog `CircuitEngine`
-//! (where bit-identity additionally requires that both sides program
-//! the same arrays in the same order, consuming the same variation
-//! draws from a fixed RNG seed).
-//!
-//! The builder facade (`SolverConfig::builder()` →
-//! `BlockAmcSolver::prepare` → `PreparedSolver::solve`) routes every
-//! architecture through the partition tree, so the same pinning applies
-//! one layer up: the facade must be bit-identical to the legacy module
-//! APIs it replaced.
-//!
-//! The open engine-backend API adds two more equivalences at the same
-//! strength: the cache-blocked digital backend is bit-identical to the
-//! exact numeric reference at every panel width, and the whole cascade
-//! through a type-erased `Box<dyn AmcEngine>` is bit-identical to the
-//! concrete engine it wraps.
+//! * golden `f64::to_bits` patterns of `Stages::One` and `Stages::Two`
+//!   under the variation-drawing `CircuitEngine`, captured from the
+//!   one-stage and two-stage module solvers this facade replaced (and
+//!   proven bit-identical to them before those modules were removed).
+//!   Any change to programming order, variation-stream consumption,
+//!   quadrant tiling, or the cascade's arithmetic moves a bit here;
+//! * the cache-blocked digital backend is bit-identical to the exact
+//!   numeric reference at every panel width;
+//! * the whole cascade through a type-erased `Box<dyn AmcEngine>` is
+//!   bit-identical to the concrete engine it wraps.
 
-use blockamc::converter::IoConfig;
 use blockamc::engine::{
     AmcEngine, BlockedNumericEngine, CircuitEngine, CircuitEngineConfig, NumericEngine,
 };
-use blockamc::multi_stage::PartitionPlan;
 use blockamc::solver::{SolverConfig, Stages};
-use blockamc::{multi_stage, one_stage, two_stage};
 
 use amc_linalg::{generate, Matrix};
 use proptest::prelude::*;
@@ -51,28 +38,18 @@ fn workload() -> impl Strategy<Value = (Matrix, Vec<f64>, u64)> {
     })
 }
 
-fn one_stage_x<E: AmcEngine>(mut engine: E, a: &Matrix, b: &[f64]) -> Vec<f64> {
-    let mut prep = one_stage::prepare_matrix(&mut engine, a).unwrap();
-    one_stage::solve(&mut engine, &mut prep, b, &IoConfig::ideal())
-        .unwrap()
-        .x
-}
-
-fn two_stage_x<E: AmcEngine>(mut engine: E, a: &Matrix, b: &[f64]) -> Vec<f64> {
-    let mut prep = two_stage::prepare(&mut engine, a).unwrap();
-    two_stage::solve(&mut engine, &mut prep, b, &IoConfig::ideal())
-        .unwrap()
-        .x
-}
-
-fn multi_stage_x<E: AmcEngine>(
-    mut engine: E,
-    a: &Matrix,
-    b: &[f64],
-    plan: &PartitionPlan,
-) -> Vec<f64> {
-    let mut prep = multi_stage::prepare_plan(&mut engine, a, plan).unwrap();
-    multi_stage::solve(&mut engine, &mut prep, b).unwrap()
+/// Diagonally dominant matrix and RHS with exactly-representable
+/// entries, generated without any RNG or libm call.
+fn dyadic_workload(n: usize) -> (Matrix, Vec<f64>) {
+    let a = Matrix::from_fn(n, n, |i, j| {
+        if i == j {
+            4.0
+        } else {
+            ((i * 3 + j * 5) % 7) as f64 * 0.125 - 0.375
+        }
+    });
+    let b: Vec<f64> = (0..n).map(|i| ((i * 7) % 5) as f64 * 0.25 - 0.5).collect();
+    (a, b)
 }
 
 fn facade_x<E: AmcEngine>(engine: E, a: &Matrix, b: &[f64], stages: Stages) -> Vec<f64> {
@@ -84,93 +61,165 @@ fn facade_x<E: AmcEngine>(engine: E, a: &Matrix, b: &[f64], stages: Stages) -> V
     prepared.solve(b).unwrap().x
 }
 
+/// `(stages, n, engine seed, expected x as f64 bit patterns)`.
+const GOLDEN: [(Stages, usize, u64, &[u64]); 8] = [
+    (
+        Stages::One,
+        8,
+        7,
+        &[
+            0xbfc0c39ea49b1e57,
+            0xbf9614f95a4d4603,
+            0x3fc172ddaf74460f,
+            0xbfac009606174dc1,
+            0x3fb33a27d9fc4bb8,
+            0xbfbfc78cc4f8351f,
+            0x3f8428851cfeb950,
+            0x3fbbde6b55f65578,
+        ],
+    ),
+    (
+        Stages::One,
+        8,
+        2024,
+        &[
+            0xbfbdce4ac5b36fdd,
+            0xbf942b151653d556,
+            0x3fbe2aab0a5f2522,
+            0xbfaf3df80e9e8633,
+            0x3fb41763dedca44f,
+            0xbfbd60c522505a22,
+            0x3f81fa849959a7dd,
+            0x3fba58759d59b5cc,
+        ],
+    ),
+    (
+        Stages::One,
+        13,
+        7,
+        &[
+            0xbfc3297e5b3c6b22,
+            0xbf7ed61463563e14,
+            0x3fbafee417e6bf20,
+            0xbfb3e721c192dd11,
+            0x3fb81505562ecd1d,
+            0xbfc0ee5e53545864,
+            0x3f9bdda3ec2fa317,
+            0x3fb8fcdff5fe1fac,
+            0xbfaec9a13e01b492,
+            0x3fa8f370152ff9ef,
+            0xbfc412eebd013621,
+            0x3fa1427149a7c4ab,
+            0x3fc179fb390b4d0e,
+        ],
+    ),
+    (
+        Stages::One,
+        13,
+        2024,
+        &[
+            0xbfc0dc66abda77bd,
+            0xbf857cf7c93d24dd,
+            0x3fbd38c68f488356,
+            0xbfb17e106876bc93,
+            0x3fb84fff01ff0e2b,
+            0xbfbf1c286fd889d7,
+            0x3f9c896bba7eb598,
+            0x3fb608787815b6d2,
+            0xbfb18f627f7093fd,
+            0x3fa8ba787dabfd5b,
+            0xbfc248f653619b8c,
+            0x3fa3cde5615197b4,
+            0x3fbfe8fd304a560b,
+        ],
+    ),
+    (
+        Stages::Two,
+        8,
+        7,
+        &[
+            0xbfc0c33b8f71c56a,
+            0xbf94056427e07286,
+            0x3fbe16ba84f7c485,
+            0xbfacc26b24ca867b,
+            0x3fb336583321c873,
+            0xbfbf8d548412e05d,
+            0x3f8228cb8e55a0cf,
+            0x3fbbb93771b7e2f8,
+        ],
+    ),
+    (
+        Stages::Two,
+        8,
+        2024,
+        &[
+            0xbfbdcb16c9bbb059,
+            0xbf958467fffb42d6,
+            0x3fbfdea4f2fefb6d,
+            0xbfac4074a7c4f9f5,
+            0x3fb3b1eb708237d2,
+            0xbfbc8412d72826d8,
+            0x3f81b16174560dc3,
+            0x3fbd0a0afccae618,
+        ],
+    ),
+    (
+        Stages::Two,
+        13,
+        7,
+        &[
+            0xbfc2d79267433ba0,
+            0xbf8765a6dce7a5bc,
+            0x3fc04efff3199bbc,
+            0xbfb281df6e938b3a,
+            0x3fb86e63668d0fba,
+            0xbfc08fea63e24d77,
+            0x3f9fe8e11bf99471,
+            0x3fb76fcd411f53b2,
+            0xbfb3448382879451,
+            0x3fa77e7f0c4891a0,
+            0xbfc0918abc13965f,
+            0x3fa0e303fa77f891,
+            0x3fc3443c7d6489b7,
+        ],
+    ),
+    (
+        Stages::Two,
+        13,
+        2024,
+        &[
+            0xbfc0eafbd924d4b6,
+            0xbf812691c55ed934,
+            0x3fbb162b5bd8a635,
+            0xbfb433ccf3627a12,
+            0x3fb9bc0f6013538a,
+            0xbfbe3fb8c27731bf,
+            0x3f9cc99ea76d1e8e,
+            0x3fb72eaeb3abdba5,
+            0xbfaf2c7f963682ce,
+            0x3fa6d7a4bd93b67b,
+            0xbfc170a0b5d13fbf,
+            0x3fa0e83b9486926a,
+            0x3fc1ca45d4a2b864,
+        ],
+    ),
+];
+
+#[test]
+fn one_and_two_stage_circuit_outputs_match_golden_bits() {
+    for (stages, n, seed, expected) in GOLDEN {
+        let (a, b) = dyadic_workload(n);
+        let engine = CircuitEngine::new(CircuitEngineConfig::paper_variation(), seed);
+        let bits: Vec<u64> = facade_x(engine, &a, &b, stages)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(bits, expected, "{stages:?} n={n} seed={seed}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn one_stage_is_a_depth_one_tree_numeric((a, b, _) in workload()) {
-        let one = one_stage_x(NumericEngine::new(), &a, &b);
-        let multi = multi_stage_x(NumericEngine::new(), &a, &b, &PartitionPlan::depth(1));
-        prop_assert_eq!(one, multi);
-    }
-
-    #[test]
-    fn one_stage_is_a_depth_one_tree_circuit((a, b, seed) in workload()) {
-        let cfg = CircuitEngineConfig::paper_variation();
-        let one = one_stage_x(CircuitEngine::new(cfg, seed), &a, &b);
-        let multi = multi_stage_x(
-            CircuitEngine::new(cfg, seed),
-            &a,
-            &b,
-            &PartitionPlan::depth(1),
-        );
-        prop_assert_eq!(one, multi);
-    }
-
-    #[test]
-    fn two_stage_is_a_depth_two_paper_tree_numeric((a, b, _) in workload()) {
-        let two = two_stage_x(NumericEngine::new(), &a, &b);
-        let multi = multi_stage_x(NumericEngine::new(), &a, &b, &PartitionPlan::paper(2));
-        prop_assert_eq!(two, multi);
-    }
-
-    #[test]
-    fn two_stage_is_a_depth_two_paper_tree_circuit((a, b, seed) in workload()) {
-        let cfg = CircuitEngineConfig::paper_variation();
-        let two = two_stage_x(CircuitEngine::new(cfg, seed), &a, &b);
-        let multi = multi_stage_x(
-            CircuitEngine::new(cfg, seed),
-            &a,
-            &b,
-            &PartitionPlan::paper(2),
-        );
-        prop_assert_eq!(two, multi);
-    }
-
-    #[test]
-    fn prepared_facade_matches_one_stage_module_numeric((a, b, _) in workload()) {
-        let one = one_stage_x(NumericEngine::new(), &a, &b);
-        let facade = facade_x(NumericEngine::new(), &a, &b, Stages::One);
-        prop_assert_eq!(one, facade);
-    }
-
-    #[test]
-    fn prepared_facade_matches_one_stage_module_circuit((a, b, seed) in workload()) {
-        let cfg = CircuitEngineConfig::paper_variation();
-        let one = one_stage_x(CircuitEngine::new(cfg, seed), &a, &b);
-        let facade = facade_x(CircuitEngine::new(cfg, seed), &a, &b, Stages::One);
-        prop_assert_eq!(one, facade);
-    }
-
-    #[test]
-    fn prepared_facade_matches_two_stage_module_numeric((a, b, _) in workload()) {
-        let two = two_stage_x(NumericEngine::new(), &a, &b);
-        let facade = facade_x(NumericEngine::new(), &a, &b, Stages::Two);
-        prop_assert_eq!(two, facade);
-    }
-
-    #[test]
-    fn prepared_facade_matches_two_stage_module_circuit((a, b, seed) in workload()) {
-        let cfg = CircuitEngineConfig::paper_variation();
-        let two = two_stage_x(CircuitEngine::new(cfg, seed), &a, &b);
-        let facade = facade_x(CircuitEngine::new(cfg, seed), &a, &b, Stages::Two);
-        prop_assert_eq!(two, facade);
-    }
-
-    #[test]
-    fn prepared_facade_matches_multi_stage_module_circuit((a, b, seed) in workload()) {
-        // Depth bounded by the facade's log2(n) validation.
-        let depth = 2.min(a.rows().ilog2() as usize);
-        let cfg = CircuitEngineConfig::paper_variation();
-        let module = multi_stage_x(
-            CircuitEngine::new(cfg, seed),
-            &a,
-            &b,
-            &PartitionPlan::depth(depth),
-        );
-        let facade = facade_x(CircuitEngine::new(cfg, seed), &a, &b, Stages::Multi(depth));
-        prop_assert_eq!(module, facade);
-    }
 
     #[test]
     fn blocked_engine_is_bit_identical_to_numeric(
