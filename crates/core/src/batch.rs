@@ -10,8 +10,7 @@
 //!
 //! Batches run through [`crate::solver::PreparedSolver::solve_batch`],
 //! so any architecture and per-level signal plan the facade supports can
-//! be batched; sharding a batch across *multiple* independently-prepared
-//! solvers is a ROADMAP item the prepared facade now enables.
+//! be batched.
 
 use amc_circuit::opamp::OpAmpSpec;
 use amc_circuit::timing;
@@ -161,7 +160,7 @@ fn assemble_solution(
 /// keeps the stealing pool balanced when solve times vary (deeper
 /// recursion on some shards, OS jitter) without shrinking shards into
 /// scheduling noise.
-const SHARDS_PER_WORKER: usize = 4;
+pub(crate) const SHARDS_PER_WORKER: usize = 4;
 
 /// Parallel [`solve_batch`]: prepares `a` once, replicates the prepared
 /// solver across `workers` independently-owned macro instances

@@ -175,6 +175,21 @@ mod tests {
     }
 
     #[test]
+    fn buffers_are_reused_without_reallocation() {
+        let mut e = NumericEngine::new();
+        let mut op = e.program(&sample()).unwrap();
+        let mut out = Vec::with_capacity(2);
+        let base_ptr = out.as_ptr();
+        for b in [[1.0, 0.0], [0.0, 1.0], [0.3, -0.7]] {
+            e.inv_into(&mut op, &b, &mut out).unwrap();
+            assert_eq!(out.len(), 2);
+        }
+        assert_eq!(out.as_ptr(), base_ptr, "no reallocation across solves");
+        assert_eq!(e.stats().inv_ops, 3);
+        assert_eq!(e.stats().program_ops, 1);
+    }
+
+    #[test]
     fn engine_name() {
         assert_eq!(NumericEngine::new().name(), "numeric");
     }

@@ -26,6 +26,12 @@ pub enum BlockAmcError {
         /// Column of the offending entry.
         col: usize,
     },
+    /// A right-hand side holds a NaN or infinite entry (the first one is
+    /// reported).
+    NonFiniteRhs {
+        /// Index of the offending entry.
+        index: usize,
+    },
     /// An engine was handed an operand programmed by a different engine
     /// kind (e.g. a numeric operand passed to the circuit engine).
     OperandMismatch {
@@ -68,6 +74,9 @@ impl fmt::Display for BlockAmcError {
             }
             BlockAmcError::NonFinite { row, col } => {
                 write!(f, "matrix entry ({row}, {col}) is not finite")
+            }
+            BlockAmcError::NonFiniteRhs { index } => {
+                write!(f, "right-hand side entry {index} is not finite")
             }
             BlockAmcError::OperandMismatch { engine } => {
                 write!(
@@ -136,6 +145,9 @@ mod tests {
         assert!(BlockAmcError::NonFinite { row: 3, col: 5 }
             .to_string()
             .contains("(3, 5)"));
+        assert!(BlockAmcError::NonFiniteRhs { index: 4 }
+            .to_string()
+            .contains("entry 4"));
         assert!(BlockAmcError::OperandMismatch { engine: "numeric" }
             .to_string()
             .contains("numeric"));

@@ -31,8 +31,8 @@
 //! or a name in the [`engine::EngineRegistry`], and drives the whole
 //! stack through `Box<dyn AmcEngine>` bit-identically to the concrete
 //! type. The shipped backends range from the exact digital reference
-//! through cache-blocked and `b`-bit fixed-point digital solvers to the
-//! full analog device + circuit stack — see
+//! through a `b`-bit fixed-point digital solver to the full analog
+//! device + circuit stack — see
 //! [`engine::EngineRegistry::builtin`] for the authoritative list.
 //!
 //! [`solver::BlockAmcSolver`] is the high-level facade, configured

@@ -761,6 +761,22 @@ impl PreparedMultiStage {
         self.depth
     }
 
+    /// Checks a right-hand side before it enters the cascade: it must
+    /// have length `n` and hold only finite entries.
+    pub(crate) fn check_rhs(&self, b: &[f64]) -> Result<()> {
+        if b.len() != self.n {
+            return Err(BlockAmcError::ShapeMismatch {
+                op: "multi_stage_solve",
+                expected: self.n,
+                got: b.len(),
+            });
+        }
+        match b.iter().position(|v| !v.is_finite()) {
+            Some(index) => Err(BlockAmcError::NonFiniteRhs { index }),
+            None => Ok(()),
+        }
+    }
+
     /// Visits every programmed operand in **canonical program order** —
     /// the exact order [`prepare_node`]/[`program_tree`] issued the
     /// `program` calls (a1 subtree, a2 tile, a3 tile, a4s subtree;
@@ -1222,13 +1238,7 @@ pub(crate) fn solve_with_signal<E: AmcEngine + ?Sized>(
     capture: bool,
     rec: &mut Recorder,
 ) -> Result<(Vec<f64>, TraceLog)> {
-    if b.len() != prepared.n {
-        return Err(BlockAmcError::ShapeMismatch {
-            op: "multi_stage_solve",
-            expected: prepared.n,
-            got: b.len(),
-        });
-    }
+    prepared.check_rhs(b)?;
     signal.validate()?;
     let mut log = TraceLog::new(capture);
     let path = signal.path();

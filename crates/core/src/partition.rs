@@ -142,7 +142,7 @@ impl BlockPartition {
     ///
     /// Same conditions as [`BlockPartition::schur_complement`].
     pub fn schur_complement_dense(&self) -> Result<Matrix> {
-        let lu = LuFactor::new_auto(&self.a1)?;
+        let lu = LuFactor::new(&self.a1)?;
         let mut a4s = self.a4.clone();
         lu.schur_update_into(&self.a2, &self.a3, &mut a4s)?;
         Ok(a4s)
@@ -157,7 +157,7 @@ impl BlockPartition {
     ///
     /// Same conditions as [`BlockPartition::schur_complement`].
     pub fn schur_complement_sparse(&self) -> Result<Matrix> {
-        let lu = LuFactor::new_auto(&self.a1)?;
+        let lu = LuFactor::new(&self.a1)?;
         let mut a4s = self.a4.clone();
         lu.schur_update_sparse_into(
             &CsrMatrix::from_dense(&self.a2),

@@ -400,9 +400,9 @@ fn stats_delta(before: &EngineStats, after: &EngineStats) -> EngineStats {
 /// let a = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]])?;
 /// let mut solver = SolverConfig::builder()
 ///     .stages(Stages::One)
-///     .build(EngineRegistry::builtin().build("blocked", 0)?)?;
+///     .build(EngineRegistry::builtin().build("fixed-point", 0)?)?;
 /// let report = solver.solve(&a, &[4.0, 3.0])?;
-/// assert_eq!(report.engine, "blocked");
+/// assert_eq!(report.engine, "fixed-point");
 /// # Ok(())
 /// # }
 /// ```
@@ -597,7 +597,8 @@ impl<E: AmcEngine> BlockAmcSolver<E> {
     ///
     /// # Errors
     ///
-    /// Shape mismatches, configuration validation, partitioning/Schur
+    /// Shape mismatches, [`BlockAmcError::NonFiniteRhs`] for a NaN/±Inf
+    /// entry of `b`, configuration validation, partitioning/Schur
     /// failures, and engine errors.
     pub fn solve(&mut self, a: &Matrix, b: &[f64]) -> Result<SolveReport> {
         if a.is_square() && b.len() != a.rows() {
@@ -663,7 +664,8 @@ impl<E: AmcEngine> PreparedSolver<'_, E> {
     ///
     /// # Errors
     ///
-    /// Shape mismatches and engine failures.
+    /// Shape mismatches, [`BlockAmcError::NonFiniteRhs`] for a NaN/±Inf
+    /// entry of `b`, and engine failures.
     pub fn solve(&mut self, b: &[f64]) -> Result<SolveReport> {
         solve_prepared(self.engine, self.config, &mut self.tree, b, self.recorder)
     }
@@ -792,6 +794,18 @@ impl<E: AmcEngine> SolverReplica<E> {
         self.tree.size()
     }
 
+    /// Checks `b` the way [`solve`](Self::solve) does before running
+    /// the cascade, so a caller merging many right-hand sides into one
+    /// batch can reject a malformed one on its own.
+    ///
+    /// # Errors
+    ///
+    /// [`BlockAmcError::ShapeMismatch`] if `b.len() != n`;
+    /// [`BlockAmcError::NonFiniteRhs`] for the first NaN/±Inf entry.
+    pub fn check_rhs(&self, b: &[f64]) -> Result<()> {
+        self.tree.check_rhs(b)
+    }
+
     /// Borrows this replica's engine (e.g. to read per-worker
     /// [`AmcEngine::stats`] after a sharded run).
     pub fn engine(&self) -> &E {
@@ -827,7 +841,8 @@ impl<E: AmcEngine> SolverReplica<E> {
     ///
     /// # Errors
     ///
-    /// Shape mismatches and engine failures.
+    /// Shape mismatches, [`BlockAmcError::NonFiniteRhs`] for a NaN/±Inf
+    /// entry of `b`, and engine failures.
     pub fn solve(&mut self, b: &[f64]) -> Result<SolveReport> {
         solve_prepared(
             &mut self.engine,
@@ -891,10 +906,12 @@ impl<E: AmcEngine> SolverReplica<E> {
         let mut states: Vec<&mut SolverReplica<E>> = Vec::with_capacity(workers);
         states.push(self);
         states.extend(clones.iter_mut());
-        // Contiguous shards, a few per worker (see SHARDS_PER_WORKER in
-        // crate::batch); input order is restored by the index-preserving
-        // pool merge.
-        let shard_len = batch.len().div_ceil(workers * 4).max(1);
+        // Contiguous shards, a few per worker; input order is restored
+        // by the index-preserving pool merge.
+        let shard_len = batch
+            .len()
+            .div_ceil(workers * crate::batch::SHARDS_PER_WORKER)
+            .max(1);
         let shards: Vec<&[Vec<f64>]> = batch.chunks(shard_len).collect();
         let sharded = amc_par::map_with_states(&mut states, shards, |replica, _, shard| {
             shard

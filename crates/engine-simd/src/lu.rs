@@ -8,11 +8,10 @@
 //! width adapts to the problem size ([`auto_panel`]), as does the
 //! micro-tile width ([`kernels::select_tile`]).
 //!
-//! Unlike `amc_linalg::lu::LuFactor::new_blocked` — which is pinned
-//! bit-identical to the unblocked reference — this factorization
-//! reorders the trailing-update accumulation for speed, so it agrees
-//! with the reference only to rounding (proven bounded by the proptests
-//! in `lib.rs`).
+//! Unlike the exact reference `amc_linalg::lu::LuFactor::new`, this
+//! factorization reorders the trailing-update accumulation for speed,
+//! so it agrees with the reference only to rounding (proven bounded by
+//! the proptests in `lib.rs`).
 
 use amc_linalg::{LinalgError, Matrix};
 

@@ -1004,7 +1004,26 @@ fn worker_loop(inner: &Inner, rec: &mut Recorder) {
 
 /// Solves one coalesced batch on `replica` and replies to every job,
 /// flagging the answers `degraded` as instructed.
+///
+/// A job whose right-hand side has the wrong length or a non-finite
+/// entry gets its own typed error up front and stays out of the merged
+/// batch, so it cannot fail the requests coalesced with it.
 fn serve_batch(inner: &Inner, mut replica: CachedSolver, jobs: &[Job], degraded: bool) {
+    let jobs: Vec<&Job> = jobs
+        .iter()
+        .filter(
+            |job| match job.rhs.iter().try_for_each(|b| replica.check_rhs(b)) {
+                Ok(()) => true,
+                Err(e) => {
+                    let _ = job.reply.send(Err(ServeError::Remote(e.to_string())));
+                    false
+                }
+            },
+        )
+        .collect();
+    if jobs.is_empty() {
+        return;
+    }
     let batch: Vec<Vec<f64>> = jobs.iter().flat_map(|j| j.rhs.iter().cloned()).collect();
     inner.counters.dispatch_batches.inc();
     inner.counters.coalesced_requests.add(jobs.len() as u64);
@@ -1109,5 +1128,70 @@ fn dispatch_aged(
         // Write the advanced clock back into the existing slot — unless
         // an Evict raced us and the entry is gone, which stays gone.
         **slot = aged;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use blockamc::solver::Stages;
+
+    fn job(rhs: Vec<Vec<f64>>) -> (Job, mpsc::Receiver<JobReply>) {
+        let (reply, rx) = mpsc::channel();
+        let job = Job {
+            rhs,
+            accept_degraded: false,
+            reply,
+            enqueued: Instant::now(),
+        };
+        (job, rx)
+    }
+
+    #[test]
+    fn a_malformed_job_does_not_fail_its_co_batched_neighbours() {
+        // No dispatcher threads: the test drives serve_batch directly.
+        let server = Server::with_builtin_engines(ServerConfig {
+            solver_workers: 0,
+            batch_workers: 2,
+            ..ServerConfig::default()
+        });
+        let a = Matrix::from_fn(4, 4, |i, j| if i == j { 4.0 } else { 0.5 });
+        let config = SolverConfig::builder()
+            .stages(Stages::One)
+            .finish()
+            .unwrap();
+        let Ok(Entry::Plain(replica)) =
+            build_entry(&server.inner, &a, &config, &EngineRef::new("numeric", 0))
+        else {
+            panic!("plain numeric entry");
+        };
+        let good = vec![1.0, -2.0, 0.5, 3.0];
+        let x = replica.clone().solve(&good).unwrap().x;
+        for (bad, reason) in [
+            (vec![1.0, 2.0], "shape mismatch"),
+            (vec![1.0, f64::NAN, 0.5, 3.0], "entry 1 is not finite"),
+            (vec![1.0, -2.0, 0.5, f64::INFINITY], "entry 3 is not finite"),
+        ] {
+            let (first, first_rx) = job(vec![good.clone()]);
+            let (malformed, malformed_rx) = job(vec![good.clone(), bad]);
+            let (last, last_rx) = job(vec![good.clone(), good.clone()]);
+            serve_batch(
+                &server.inner,
+                replica.clone(),
+                &[first, malformed, last],
+                false,
+            );
+            assert_eq!(first_rx.recv().unwrap().unwrap(), (vec![x.clone()], false));
+            assert_eq!(
+                last_rx.recv().unwrap().unwrap(),
+                (vec![x.clone(), x.clone()], false)
+            );
+            match malformed_rx.recv().unwrap() {
+                Err(ServeError::Remote(message)) => {
+                    assert!(message.contains(reason), "{message}");
+                }
+                other => panic!("expected a remote error for {reason}, got {other:?}"),
+            }
+        }
     }
 }

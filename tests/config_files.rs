@@ -34,12 +34,11 @@ where
 
 fn engine_spec_strategy() -> impl Strategy<Value = EngineSpec> {
     use blockamc::engine::CircuitEngineConfig;
-    (0usize..6, 1usize..=64, 2u32..=24).prop_map(|(variant, block, bits)| match variant {
+    (0usize..5, 2u32..=24).prop_map(|(variant, bits)| match variant {
         0 => EngineSpec::Numeric,
-        1 => EngineSpec::Blocked { block },
-        2 => EngineSpec::FixedPoint { bits },
-        3 => EngineSpec::Circuit(CircuitEngineConfig::ideal_mapping()),
-        4 => EngineSpec::Circuit(CircuitEngineConfig::paper_variation()),
+        1 => EngineSpec::FixedPoint { bits },
+        2 => EngineSpec::Circuit(CircuitEngineConfig::ideal_mapping()),
+        3 => EngineSpec::Circuit(CircuitEngineConfig::paper_variation()),
         _ => EngineSpec::Circuit(CircuitEngineConfig::paper_full()),
     })
 }
@@ -99,7 +98,7 @@ fn campaign_spec_strategy() -> impl Strategy<Value = CampaignSpec> {
             if inline {
                 EngineSelSpec::Spec(spec)
             } else {
-                EngineSelSpec::Registered(["numeric", "blocked", "fixed-point"][name].to_string())
+                EngineSelSpec::Registered(["numeric", "fixed-point", "circuit"][name].to_string())
             }
         });
     (
@@ -351,6 +350,20 @@ fn misspelled_fields_in_a_committed_file_are_reported_by_name() {
         msg.contains("rhs_per_trail") && msg.contains("rhs_per_trial"),
         "error should name the bad field and list the known ones: {msg}"
     );
+}
+
+#[test]
+fn retired_blocked_engine_is_a_typed_error_by_tag_and_by_name() {
+    let tagged = Json::parse(r#"{"Blocked": {"block": 32}}"#).unwrap();
+    let err = EngineSpec::from_json(&tagged).unwrap_err();
+    assert!(
+        matches!(err, serde::ConfigError::UnknownVariant { .. }),
+        "{err}"
+    );
+    assert!(matches!(
+        blockamc::engine::EngineRegistry::builtin().build("blocked", 0),
+        Err(blockamc::BlockAmcError::UnknownEngine { .. })
+    ));
 }
 
 #[test]

@@ -190,6 +190,35 @@ fn non_finite_matrix_entries_are_a_typed_error() {
 }
 
 #[test]
+fn non_finite_rhs_entries_are_a_typed_error() {
+    // A NaN/±Inf in b used to come back as Ok with NaN in x. The first
+    // offending entry is reported through every solve entry point.
+    let (a, b) = dyadic_workload(8);
+    for stages in [Stages::One, Stages::Two] {
+        let mut solver = SolverConfig::builder()
+            .stages(stages)
+            .build(NumericEngine::new())
+            .unwrap();
+        let mut replica = solver.prepare(&a).unwrap().replicate(1).remove(0);
+        for index in [0, 3, 7] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut rhs = b.clone();
+                rhs[index] = bad;
+                let expected = BlockAmcError::NonFiniteRhs { index };
+                let batch = vec![b.clone(), rhs.clone(), b.clone()];
+                assert_eq!(
+                    replica.solve_batch_parallel(&batch, 2).unwrap_err(),
+                    expected
+                );
+                assert_eq!(solver.solve(&a, &rhs).unwrap_err(), expected);
+                let mut prepared = solver.prepare(&a).unwrap();
+                assert_eq!(prepared.solve(&rhs).unwrap_err(), expected);
+            }
+        }
+    }
+}
+
+#[test]
 fn depth3_cascade_with_bus_entry_at_level1_snapshot() {
     // Acceptance criterion: a depth-3 cascade whose level-1 boundary
     // crosses the data bus runs through the facade. The workload is

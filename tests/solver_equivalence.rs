@@ -12,14 +12,15 @@
 //!   proven bit-identical to them before those modules were removed).
 //!   Any change to programming order, variation-stream consumption,
 //!   quadrant tiling, or the cascade's arithmetic moves a bit here;
-//! * the cache-blocked digital backend is bit-identical to the exact
-//!   numeric reference at every panel width;
+//! * golden FNV-1a checksums of the digital Schur complement (dense
+//!   and sparse kernels) and of a `NumericEngine` two-stage solve at
+//!   `n = 200`, large enough that the LU spans many cache panels, so
+//!   any change to the elimination loop's arithmetic moves a bit here;
 //! * the whole cascade through a type-erased `Box<dyn AmcEngine>` is
 //!   bit-identical to the concrete engine it wraps.
 
-use blockamc::engine::{
-    AmcEngine, BlockedNumericEngine, CircuitEngine, CircuitEngineConfig, NumericEngine,
-};
+use blockamc::engine::{AmcEngine, CircuitEngine, CircuitEngineConfig, NumericEngine};
+use blockamc::partition::BlockPartition;
 use blockamc::solver::{SolverConfig, Stages};
 
 use amc_linalg::{generate, Matrix};
@@ -218,29 +219,72 @@ fn one_and_two_stage_circuit_outputs_match_golden_bits() {
     }
 }
 
+/// FNV-1a (64-bit) over the little-endian bytes of every
+/// `f64::to_bits` — one number that moves if any output bit does.
+fn fnv1a(values: &[f64]) -> u64 {
+    values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Asserts `values` against a golden `(checksum, first four bit
+/// patterns)` pin.
+fn assert_golden(label: &str, values: &[f64], checksum: u64, head: [u64; 4]) {
+    let got: Vec<u64> = values[..4].iter().map(|v| v.to_bits()).collect();
+    assert_eq!(got, head, "{label}: leading entries");
+    assert_eq!(fnv1a(values), checksum, "{label}: checksum");
+}
+
+/// The `n = 200` seeded Wishart system behind the large-`n` pins.
+fn wishart_200() -> (Matrix, Vec<f64>) {
+    let mut rng = ChaCha8Rng::seed_from_u64(2024);
+    let a = generate::wishart_default(200, &mut rng).unwrap();
+    let b = generate::random_vector(200, &mut rng);
+    (a, b)
+}
+
+/// `A4 − A3·A1⁻¹·A2` of [`wishart_200`] at the halves split (A1 is
+/// 100×100); the dense and sparse kernels agree bitwise on it.
+const SCHUR_200_FNV: u64 = 0x09ac_2a78_a511_1c0d;
+const SCHUR_200_HEAD: [u64; 4] = [
+    0x3fef814ccb3458b9,
+    0x3f8f9e12acc418f4,
+    0x3f8367e92f8c3ed2,
+    0xbf79ef73440b664c,
+];
+/// `x` of the `NumericEngine` `Stages::Two` solve of [`wishart_200`].
+const TWO_STAGE_200_FNV: u64 = 0x853c_8832_704a_7b7a;
+const TWO_STAGE_200_HEAD: [u64; 4] = [
+    0x3fe770383904c904,
+    0x3fea3355e792ec60,
+    0x3fe19a85a106acae,
+    0xbfe4054a7eb1469f,
+];
+
+#[test]
+fn schur_complements_at_n200_match_golden_bits() {
+    let (a, _) = wishart_200();
+    let p = BlockPartition::halves(&a).unwrap();
+    for (label, a4s) in [
+        ("dense", p.schur_complement_dense().unwrap()),
+        ("sparse", p.schur_complement_sparse().unwrap()),
+    ] {
+        assert_golden(label, a4s.as_slice(), SCHUR_200_FNV, SCHUR_200_HEAD);
+    }
+}
+
+#[test]
+fn numeric_two_stage_at_n200_matches_golden_bits() {
+    let (a, b) = wishart_200();
+    let x = facade_x(NumericEngine::new(), &a, &b, Stages::Two);
+    assert_golden("two-stage", &x, TWO_STAGE_200_FNV, TWO_STAGE_200_HEAD);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn blocked_engine_is_bit_identical_to_numeric(
-        (a, b, seed) in workload(),
-        block in 1usize..=40,
-    ) {
-        // The cache-blocked backend is a pure hot-path substitution:
-        // same bits out at every panel width, through every
-        // architecture the facade supports.
-        let _ = seed;
-        for stages in [Stages::One, Stages::Two] {
-            let reference = facade_x(NumericEngine::new(), &a, &b, stages);
-            let blocked = facade_x(
-                BlockedNumericEngine::new(block).unwrap(),
-                &a,
-                &b,
-                stages,
-            );
-            prop_assert_eq!(reference, blocked, "stages={:?} block={}", stages, block);
-        }
-    }
 
     #[test]
     fn boxed_engine_is_bit_identical_to_concrete((a, b, seed) in workload()) {
